@@ -20,7 +20,7 @@ from . import jsonio, oracles
 from .combinatorics import (count_functions, covering_edges,
                             enumerate_partitions)
 from .direct_sum import block_label_matrix, decompose, support_example
-from .index_space import OrderedSetPartition, Shape
+from .index_space import OrderedSetPartition, Shape, render_lex_table
 from .inner_product import eval_form, induced_inner_product
 from .kronecker import KroneckerOperator, factorized_matrix_product, kron
 from .scalars import get_backend
@@ -73,22 +73,6 @@ def _cmd_gamma(args, backend) -> int:
     return 0
 
 
-def _render_labeled(op: KroneckerOperator, dense, backend) -> str:
-    dims = op.row_shape.dims + op.col_shape.dims
-    sep = "" if all(d <= 9 for d in dims) else ","
-    row_labels = [sep.join(str(v) for v in mu) for mu in op.row_shape.indices()]
-    col_labels = [sep.join(str(v) for v in k) for k in op.col_shape.indices()]
-    cells = [[str(jsonio.encode_scalar(backend, dense.at(i, j)))
-              for j in range(1, dense.ncols + 1)] for i in range(1, dense.nrows + 1)]
-    rlw = max(len(s) for s in row_labels)
-    widths = [max(len(col_labels[j]), max(len(r[j]) for r in cells))
-              for j in range(dense.ncols)]
-    lines = [" " * rlw + " " + " ".join(s.rjust(w) for s, w in zip(col_labels, widths))]
-    for rl, row in zip(row_labels, cells):
-        lines.append(rl.rjust(rlw) + " " + " ".join(s.rjust(w) for s, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
 def _cmd_kron(args, backend) -> int:
     factors = [jsonio.matrix_from_json(backend, _load_json(p)) for p in args.factors]
     op = KroneckerOperator(tuple(factors))
@@ -100,7 +84,9 @@ def _cmd_kron(args, backend) -> int:
         raise ValueError("--lazy is only useful together with --matvec")
     dense = op.materialize()
     if args.labels:
-        print(_render_labeled(op, dense, backend))
+        rows, cols = op.row_shape, op.col_shape
+        print(render_lex_table(rows, cols, lambda mu, kappa: str(jsonio.encode_scalar(
+            backend, dense.at(rows.rank(mu), cols.rank(kappa))))))
     else:
         _emit(jsonio.matrix_to_json(backend, dense))
     return 0

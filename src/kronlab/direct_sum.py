@@ -13,7 +13,8 @@ import string
 from dataclasses import dataclass
 from typing import Sequence
 
-from .index_space import BlockPartition, OrderedSetPartition, Shape, induced_partition
+from .index_space import (BlockPartition, OrderedSetPartition, Shape, induced_partition,
+                          render_lex_table)
 from .tensor import SubspaceProduct, Tensor, TensorModel, subspace_product
 
 
@@ -131,17 +132,7 @@ class BlockLabelMatrix:
     def render(self) -> str:
         """Text table with lex row and column labels, as in the worked
         eight-by-eight example."""
-        sep = "" if all(d <= 9 for d in self.row_shape.dims + self.col_shape.dims) else ","
-        row_labels = [sep.join(str(v) for v in mu) for mu in self.row_shape.indices()]
-        col_labels = [sep.join(str(v) for v in k) for k in self.col_shape.indices()]
-        rlw = max(len(s) for s in row_labels)
-        widths = [max(len(s), 1) for s in col_labels]
-        lines = [" " * rlw + " " + " ".join(s.rjust(w) for s, w in zip(col_labels, widths))]
-        for mu, rl in zip(self.row_shape.indices(), row_labels):
-            cells = [self.label(mu, kappa).rjust(w)
-                     for kappa, w in zip(self.col_shape.indices(), widths)]
-            lines.append(rl.rjust(rlw) + " " + " ".join(cells))
-        return "\n".join(lines)
+        return render_lex_table(self.row_shape, self.col_shape, self.label)
 
 
 def block_label_matrix(row_shape: Shape, col_shape: Shape,

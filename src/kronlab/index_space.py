@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MultiIndex = tuple  # a tuple of 1-based ints
 
@@ -90,6 +90,27 @@ def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
 def concat(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
     """Join two multi-indices; preserves lex order on pairs."""
     return tuple(a) + tuple(b)
+
+
+def render_lex_table(row_shape: Shape, col_shape: Shape,
+                     cell: Callable[[MultiIndex, MultiIndex], str]) -> str:
+    """Text table of ``cell(mu, kappa)`` with lex row and column labels.
+
+    A label writes the index entries side by side, or comma-separated when
+    some axis has more than nine values; columns are right-justified.
+    """
+    sep = "" if all(d <= 9 for d in row_shape.dims + col_shape.dims) else ","
+    rows, cols = list(row_shape.indices()), list(col_shape.indices())
+    row_labels = [sep.join(str(v) for v in mu) for mu in rows]
+    col_labels = [sep.join(str(v) for v in kappa) for kappa in cols]
+    cells = [[cell(mu, kappa) for kappa in cols] for mu in rows]
+    rlw = max(len(s) for s in row_labels)
+    widths = [max(len(label), *(len(r[j]) for r in cells))
+              for j, label in enumerate(col_labels)]
+    lines = [" " * rlw + " " + " ".join(s.rjust(w) for s, w in zip(col_labels, widths))]
+    for label, row in zip(row_labels, cells):
+        lines.append(label.rjust(rlw) + " " + " ".join(s.rjust(w) for s, w in zip(row, widths)))
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,12 @@ def decode_vector(backend: Backend, obj) -> list:
     return [backend.parse(v) for v in obj]
 
 
+def _decode_rows(backend: Backend, obj, key: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError(f"'{key}' must be a JSON array of rows")
+    return [decode_vector(backend, r) for r in obj]
+
+
 def matrix_to_json(backend: Backend, m: DenseMatrix) -> dict:
     return {
         "rows": m.nrows,
@@ -49,9 +55,10 @@ def matrix_from_json(backend: Backend, d: dict) -> DenseMatrix:
         nrows, ncols, entries = d["rows"], d["cols"], d["entries"]
     except (KeyError, TypeError):
         raise ValueError("matrix JSON needs 'rows', 'cols' and 'entries'") from None
-    if len(entries) != nrows or any(len(r) != ncols for r in entries):
+    rows = _decode_rows(backend, entries, "entries")
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise ValueError(f"entries do not form a {nrows}x{ncols} matrix")
-    return DenseMatrix.from_rows([decode_vector(backend, r) for r in entries])
+    return DenseMatrix.from_rows(rows)
 
 
 def tensor_to_json(backend: Backend, t: Tensor) -> dict:
@@ -84,7 +91,7 @@ def map_from_json(backend: Backend, d: dict) -> MultilinearMap:
     except (KeyError, TypeError):
         raise ValueError("map JSON needs 'shape', 'targetDim' and 'values'") from None
     return MultilinearMap(Shape(dims), int(target_dim),
-                          tuple(tuple(decode_vector(backend, v)) for v in values))
+                          tuple(map(tuple, _decode_rows(backend, values, "values"))))
 
 
 def nutable_to_json(backend: Backend, nu: NuTable) -> dict:
@@ -100,7 +107,7 @@ def nutable_from_json(backend: Backend, d: dict) -> NuTable:
         dims, ambient, values = d["shape"], d["ambientDim"], d["values"]
     except (KeyError, TypeError):
         raise ValueError("table JSON needs 'shape', 'ambientDim' and 'values'") from None
-    rows = tuple(tuple(decode_vector(backend, r)) for r in values)
+    rows = tuple(map(tuple, _decode_rows(backend, values, "values")))
     nu = NuTable(Shape(dims), rows)
     if nu.ambient_dim != int(ambient):
         raise ValueError(f"stated ambientDim {ambient} does not match "
@@ -122,7 +129,7 @@ def form_from_json(backend: Backend, d: dict) -> ConjugateBilinearForm:
     except (KeyError, TypeError):
         raise ValueError("form JSON needs 'leftDim', 'rightDim' and 'gram'") from None
     return ConjugateBilinearForm(int(left), int(right),
-                                 tuple(tuple(decode_vector(backend, r)) for r in gram))
+                                 tuple(map(tuple, _decode_rows(backend, gram, "gram"))))
 
 
 def verdict_to_json(backend: Backend, v: Verdict) -> dict:

@@ -18,8 +18,8 @@ from .multilinear import MultilinearMap
 from .tensor import build_model, pure, universal_factor
 
 __all__ = [
-    "DenseMatrix", "KroneckerOperator", "kron", "entry", "matvec",
-    "materialize", "factorized_matrix_product", "submatrix", "flat_pair_shape",
+    "KroneckerOperator", "kron", "factorized_matrix_product", "submatrix",
+    "flat_pair_shape",
 ]
 
 
@@ -141,18 +141,6 @@ def _contract_axis(cur: list, f: DenseMatrix, left: int, mid: int,
             if acc is not None:
                 out[base_out + r * right:base_out + (r + 1) * right] = acc
     return out
-
-
-def entry(k: KroneckerOperator, mu: Sequence[int], kappa: Sequence[int]):
-    return k.entry(mu, kappa)
-
-
-def matvec(k: KroneckerOperator, x: Sequence) -> list:
-    return k.matvec(x)
-
-
-def materialize(k: KroneckerOperator) -> DenseMatrix:
-    return k.materialize()
 
 
 def factorized_matrix_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

@@ -1,9 +1,14 @@
 """Dense matrices over any scalar backend, with exact elimination.
 
 Storage is a single row-major list; row and column indices are 1-based to
-match the multi-index convention used everywhere else.  The elimination
-helpers divide, so they normalize plain ints into the surrounding backend
-first (int/int would silently produce floats).
+match the multi-index convention used everywhere else.
+
+Rank, dependency witnesses, inverses and leading principal minors all come
+from one forward-elimination kernel, ``_echelon``.  Its pivot rule: the
+pivot of a column is its first nonzero entry at or below the current row
+(exact arithmetic needs no search for the largest entry, and the dependency
+witnesses that callers report depend on this rule).  The kernel divides, so its inputs are first normalized into the
+surrounding backend (int/int would silently produce floats).
 """
 
 from __future__ import annotations
@@ -164,13 +169,10 @@ def matrix_backend(m: DenseMatrix):
 
     Plain ints are backend-neutral; every other scalar type must agree.
     """
-    kinds = {backend_of(v).name for v in m.data if not isinstance(v, int)}
-    if not kinds:
-        return RATIONAL
+    kinds = {b.name: b for b in (backend_of(v) for v in m.data if not isinstance(v, int))}
     if len(kinds) > 1:
         raise ValueError(f"mixed scalar backends in matrix: {sorted(kinds)}")
-    name = kinds.pop()
-    return {RATIONAL.name: RATIONAL, GAUSSIAN.name: GAUSSIAN, COMPLEX.name: COMPLEX}[name]
+    return kinds.popitem()[1] if kinds else RATIONAL
 
 
 def _division_safe(rows: Sequence[Sequence]) -> list:
@@ -185,107 +187,91 @@ def _division_safe(rows: Sequence[Sequence]) -> list:
     return [[cast(v) for v in r] for r in rows]
 
 
+def _identity_rows(n: int) -> list:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _echelon(work: list, aug: Optional[list] = None):
+    """Forward elimination of ``work`` in place, one pivot at a time.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row; it is swapped up to that row, then every nonzero entry
+    below it is cleared by subtracting a multiple of the pivot row.  Each
+    swap and row update is mirrored on ``aug`` when given.  Yields
+    ``(source_row, pivot_col)`` after the swap and before the clearing, so a
+    caller that stops iterating stops the sweep.  ``work`` needs entries
+    that divide exactly (see :func:`_division_safe`).
+    """
+    n = len(work)
+    pr = 0
+    for pc in range(len(work[0]) if work else 0):
+        if pr == n:
+            return
+        for piv in range(pr, n):
+            if work[piv][pc] != 0:
+                break
+        else:
+            continue
+        work[pr], work[piv] = work[piv], work[pr]
+        if aug is not None:
+            aug[pr], aug[piv] = aug[piv], aug[pr]
+        yield piv, pc
+        top = work[pr]
+        for r in range(pr + 1, n):
+            if work[r][pc] != 0:
+                f = work[r][pc] / top[pc]
+                work[r] = [a - f * b for a, b in zip(work[r], top)]
+                if aug is not None:
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
+        pr += 1
+
+
 def row_dependency(rows: Sequence[Sequence]) -> Optional[list]:
     """Coefficients of a nontrivial vanishing combination of ``rows``.
 
     Returns ``None`` when the rows are linearly independent.  Exact for the
-    exact backends (elimination with division, multipliers tracked in an
-    augmented identity block).
+    exact backends: the multipliers are tracked in an augmented identity
+    block, and the first row left without a pivot gives the combination.
     """
-    rows = list(rows)
-    if not rows:
-        return None
-    ncols = len(rows[0])
     work = _division_safe(rows)
-    n = len(work)
-    mult = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for r in range(pr, n):
-            if work[r][pc] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            work[pr], work[piv] = work[piv], work[pr]
-            mult[pr], mult[piv] = mult[piv], mult[pr]
-        for r in range(pr + 1, n):
-            if work[r][pc] != 0:
-                f = work[r][pc] / work[pr][pc]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
-                mult[r] = [a - f * b for a, b in zip(mult[r], mult[pr])]
-        pr += 1
-        if pr == n:
-            break
-    for r in range(n):
-        if all(v == 0 for v in work[r]) and any(v != 0 for v in mult[r]):
-            return mult[r]
-    return None
+    mult = _identity_rows(len(work))
+    rank = sum(1 for _ in _echelon(work, mult))
+    return mult[rank] if rank < len(work) else None
 
 
 def rank_of(rows: Sequence[Sequence]) -> int:
     """Exact rank by elimination."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    work = _division_safe(rows)
-    n, ncols = len(work), len(work[0])
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for r in range(pr, n):
-            if work[r][pc] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[pr], work[piv] = work[piv], work[pr]
-        for r in range(pr + 1, n):
-            if work[r][pc] != 0:
-                f = work[r][pc] / work[pr][pc]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
-        pr += 1
-        if pr == n:
-            break
-    return pr
+    return sum(1 for _ in _echelon(_division_safe(rows)))
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+    """Exact inverse: forward elimination on ``[m | I]``, then back
+    substitution on the identity block; raises if singular."""
     if m.nrows != m.ncols:
         raise ValueError("only square matrices can be inverted")
     n = m.nrows
     work = _division_safe(m.rows())
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if work[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        d = work[c][c]
-        work[c] = [v / d for v in work[c]]
-        inv[c] = [v / d for v in inv[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[c])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[c])]
+    inv = _identity_rows(n)
+    if sum(1 for _ in _echelon(work, inv)) < n:
+        raise ValueError("matrix is singular")
+    for i in reversed(range(n)):
+        row = inv[i]
+        for j in range(i + 1, n):
+            f = work[i][j]
+            if f != 0:
+                row = [a - f * b for a, b in zip(row, inv[j])]
+        d = work[i][i]
+        inv[i] = [v / d for v in row]
     return DenseMatrix.from_rows(inv)
 
 
 def leading_principal_minors(rows: Sequence[Sequence]) -> list:
     """Determinants of the top-left ``k x k`` blocks, ``k = 1..n``.
 
-    Uses pivot-free elimination: when a pivot vanishes the corresponding and
-    all later minors are reported as exact zero, which is all the positive
-    definiteness check needs.
+    Each minor is the product of the first ``k`` pivots as long as every
+    pivot sits on the diagonal.  The sweep stops at the first one that does
+    not (a zero diagonal entry); that minor and all later ones are reported
+    as exact zero, which is all the positive definiteness check needs.
     """
     work = _division_safe(rows)
     n = len(work)
@@ -293,15 +279,9 @@ def leading_principal_minors(rows: Sequence[Sequence]) -> list:
         raise ValueError("leading minors need a square matrix")
     minors = []
     det = 1
-    for k in range(n):
-        piv = work[k][k]
-        if piv == 0:
-            minors.extend([det * 0] * (n - k))
+    for k, pivot in enumerate(_echelon(work)):
+        if pivot != (k, k):
             break
-        det = det * piv
+        det = det * work[k][k]
         minors.append(det)
-        for r in range(k + 1, n):
-            if work[r][k] != 0:
-                f = work[r][k] / piv
-                work[r] = [a - f * b for a, b in zip(work[r], work[k])]
-    return minors
+    return minors + [det * 0] * (n - len(minors))

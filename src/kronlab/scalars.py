@@ -147,11 +147,19 @@ def _rand_complex(rng: random.Random) -> complex:
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator reported as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
 def _parse_rational(obj) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        return Fraction(obj.strip())
+        return _fraction(obj.strip())
     raise ValueError(f"cannot parse rational scalar from {obj!r}")
 
 
@@ -166,7 +174,7 @@ def _parse_gaussian(obj) -> GaussianRational:
         raise ValueError(f"cannot parse gaussian scalar from {obj!r}")
     s = obj.strip().replace(" ", "")
     if not s.endswith("i"):
-        return GaussianRational(Fraction(s))
+        return GaussianRational(_fraction(s))
     body = s[:-1]
     # split at the sign separating real and imaginary parts; a leading sign
     # or the sign of a numerator after '/' never qualifies
@@ -176,11 +184,11 @@ def _parse_gaussian(obj) -> GaussianRational:
             split = i
             break
     if split < 0:
-        return GaussianRational(0, Fraction(body))
+        return GaussianRational(0, _fraction(body))
     re_part, im_part = body[:split], body[split:]
     if im_part in ("+", "-"):
         im_part += "1"
-    return GaussianRational(Fraction(re_part), Fraction(im_part))
+    return GaussianRational(_fraction(re_part), _fraction(im_part))
 
 
 def _format_gaussian(x) -> str:
@@ -241,34 +249,6 @@ def backend_of(x) -> Backend:
     if isinstance(x, (float, complex)):
         return COMPLEX
     raise TypeError(f"not a supported scalar: {x!r}")
-
-
-def _check_same(a, b) -> None:
-    ba, bb = backend_of(a), backend_of(b)
-    if ba is not bb:
-        raise ValueError(f"backend mismatch: {ba.name} vs {bb.name}")
-
-
-def add(a, b):
-    _check_same(a, b)
-    return a + b
-
-
-def sub(a, b):
-    _check_same(a, b)
-    return a - b
-
-
-def mul(a, b):
-    _check_same(a, b)
-    return a * b
-
-
-def div(a, b):
-    _check_same(a, b)
-    if b == 0:
-        raise ZeroDivisionError("scalar division by zero")
-    return a / b
 
 
 def conj(a):

@@ -217,6 +217,16 @@ def test_error_reporting(capsys, tmp_path):
     x = write(tmp_path / "x.json", ["1", "2", "3"])
     code, _, err = run(capsys, ["matvec", a, "--x", x])
     assert code == 2 and "error:" in err
+    # malformed documents get one error line, not a traceback
+    m = write(tmp_path / "m.json", {"rows": 1, "cols": 1, "entries": 5})
+    t = write(tmp_path / "t.json", {"shape": [2, 2], "ambientDim": 4, "values": 5})
+    z = write(tmp_path / "z.json", {"shape": [2], "coeffs": ["1/0", "1"]})
+    for argv in (["kron", m], ["verify", t],
+                 ["--backend", "rational", "inner", z, z, "--induced"],
+                 ["--backend", "gaussian", "inner", z, z, "--induced"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+        assert "Fraction(" not in err
 
 
 def test_identical_invocations_produce_identical_bytes(capsys, intro_vectors):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlab.matrices import (DenseMatrix, inverse, leading_principal_minors,
                               matrix_backend, rank_of, row_dependency)
@@ -114,6 +117,9 @@ def test_leading_principal_minors():
     # a zero pivot stops the sweep; remaining minors report as zero,
     # which is what the definiteness check consumes
     assert leading_principal_minors([[0, 1], [1, 0]]) == [0, 0]
+    # the zero pivot appears only after the first elimination step, while
+    # a later column still holds a nonzero entry
+    assert leading_principal_minors([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) == [1, 0, 0]
     with pytest.raises(ValueError):
         leading_principal_minors([[1, 2, 3], [4, 5, 6]])
 
@@ -123,3 +129,75 @@ def test_matrix_backend_classification():
     assert matrix_backend(DenseMatrix.from_rows([[GaussianRational(1), 0]])) is GAUSSIAN
     with pytest.raises(ValueError):
         matrix_backend(DenseMatrix.from_rows([[GaussianRational(1), 0.5]]))
+
+
+# -- properties of the elimination kernel, against cofactor expansion ---------
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+# few distinct values, so that singular matrices and dependent rows are common
+small = st.sampled_from(sorted({Fraction(p, q) for p in range(-2, 3) for q in (1, 2, 3)}))
+SCALARS = {"rational": small,
+           "gaussian": st.builds(GaussianRational, small, st.sampled_from([0, 0, 1, Fraction(-1, 2)]))}
+
+
+@st.composite
+def small_matrices(draw, square=False):
+    entry = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 4))
+    return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+
+def cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def minor_rank(rows):
+    n, m = len(rows), len(rows[0])
+    for k in range(min(n, m), 0, -1):
+        for ri in combinations(range(n), k):
+            for ci in combinations(range(m), k):
+                if cofactor_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+@PROPERTY
+@given(small_matrices())
+def test_rank_of_matches_minor_rank(rows):
+    assert rank_of(rows) == minor_rank(rows)
+
+
+@PROPERTY
+@given(small_matrices(square=True))
+def test_leading_minors_match_cofactor_determinants_up_to_first_zero(rows):
+    want = []
+    for k in range(1, len(rows) + 1):
+        d = cofactor_det([r[:k] for r in rows[:k]])
+        want.append(d if all(want) else 0)
+    assert leading_principal_minors(rows) == want
+
+
+@PROPERTY
+@given(small_matrices(square=True))
+def test_inverse_is_a_left_inverse(rows):
+    m = DenseMatrix.from_rows(rows)
+    if cofactor_det(rows) == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert inverse(m).matmul(m) == DenseMatrix.identity(len(rows))
+
+
+@PROPERTY
+@given(small_matrices())
+def test_row_dependency_witness(rows):
+    w = row_dependency(rows)
+    if minor_rank(rows) == len(rows):
+        assert w is None
+    else:
+        assert w is not None and any(c != 0 for c in w)
+        assert all(sum(c * r[j] for c, r in zip(w, rows)) == 0 for j in range(len(rows[0])))

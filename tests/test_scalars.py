@@ -3,38 +3,41 @@ from fractions import Fraction
 
 import pytest
 
+from kronlab.matrices import DenseMatrix, matrix_backend
 from kronlab.scalars import (BACKENDS, COMPLEX, GAUSSIAN, RATIONAL,
-                             GaussianRational, add, backend_of, conj, div,
-                             get_backend, mul, sub, to_complex, to_gaussian,
-                             to_rational)
+                             GaussianRational, backend_of, conj, get_backend,
+                             to_complex, to_gaussian, to_rational)
 
 
 def test_rational_sum():
-    assert add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    # rationals embed exactly into the Gaussian backend
+    assert GaussianRational(Fraction(1, 2)) + Fraction(1, 3) == Fraction(5, 6)
+    assert Fraction(1, 3) + GaussianRational(Fraction(1, 2), 1) == GaussianRational(Fraction(5, 6), 1)
 
 
 def test_gaussian_modulus_identity():
     z = GaussianRational(1, 2)
-    assert mul(z, conj(z)) == GaussianRational(5, 0)
-    assert mul(z, conj(z)) == 5
+    assert z * conj(z) == GaussianRational(5, 0)
+    assert z * conj(z) == 5
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        div(Fraction(1), Fraction(0))
+        Fraction(1) / Fraction(0)
     with pytest.raises(ZeroDivisionError):
-        div(GaussianRational(1), GaussianRational(0))
+        GaussianRational(1) / GaussianRational(0)
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1, 1) / 0
 
 
 def test_backend_mismatch_is_an_error():
-    with pytest.raises(ValueError, match="backend mismatch"):
-        add(Fraction(1), GaussianRational(1))
-    with pytest.raises(ValueError, match="backend mismatch"):
-        mul(GaussianRational(1), complex(1))
-    with pytest.raises(ValueError, match="backend mismatch"):
-        sub(Fraction(1), complex(1))
+    with pytest.raises(TypeError):
+        GaussianRational(1) * complex(1)
+    with pytest.raises(TypeError):
+        complex(1) - GaussianRational(1)
+    with pytest.raises(ValueError, match="mixed scalar backends"):
+        matrix_backend(DenseMatrix.from_rows([[Fraction(1), complex(1)]]))
 
 
 def test_no_silent_promotion_in_gaussian_arithmetic():
