@@ -11,9 +11,8 @@ from .index_space import (BlockPartition, OrderedSetPartition, Shape, block_of,
                           concat, discrete_partition, induced_partition,
                           lex_compare, unit_partition)
 from .matrices import DenseMatrix
-from .multilinear import (MultilinearMap, basis_functional,
-                          check_product_sum_interchange, component, evaluate,
-                          evaluate_factored, expand_in_basis, from_values)
+from .multilinear import (MultilinearMap, basis_functional, component, evaluate,
+                          evaluate_factored, from_values)
 from .scalars import (BACKENDS, COMPLEX, GAUSSIAN, RATIONAL, Backend,
                       GaussianRational, backend_of, conj, get_backend,
                       to_complex, to_gaussian, to_rational)
@@ -22,7 +21,7 @@ from .tensor import (LinearMap, NuTable, Regrouping, SubspaceProduct, Tensor,
                      dual_eval, matrix_of, pure, regroup, subspace_product,
                      universal_factor, verify_tensor_product, zero_tensor)
 from .kronecker import (KroneckerOperator, factorized_matrix_product,
-                        flat_pair_shape, kron, submatrix)
+                        flat_pair_shape, kron)
 from .inner_product import (ConjugateBilinearForm, InnerProductForm, eval_form,
                             induced_inner_product, inner_product_form,
                             product_form, validate_inner_product)

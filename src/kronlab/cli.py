@@ -45,16 +45,18 @@ def _parse_dims(text: str) -> tuple:
         raise ValueError(f"cannot parse dimensions from {text!r}") from None
 
 
-def _parse_partitions(text: str) -> list:
-    """Per-axis partitions as JSON: a list of lists of blocks."""
+def _parse_partitions(text: str, shape: Shape) -> list:
+    """Per-axis partitions of ``shape`` as JSON: a list of lists of blocks."""
     data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("partitions must be a JSON list, one entry per axis")
-    parts = []
+    if not isinstance(data, list) or len(data) != shape.arity:
+        raise ValueError(f"partitions must be a JSON list with one entry per axis "
+                         f"of shape {list(shape.dims)}")
     for axis in data:
-        ground = max(x for blk in axis for x in blk)
-        parts.append(OrderedSetPartition(ground, axis))
-    return parts
+        if not (isinstance(axis, list) and all(
+                isinstance(b, list) and all(type(x) is int for x in b) for b in axis)):
+            raise ValueError(f"an axis partition must be a JSON list of integer "
+                             f"blocks, got {json.dumps(axis)}")
+    return [OrderedSetPartition(n, axis) for n, axis in zip(shape.dims, data)]
 
 
 def _cmd_gamma(args, backend) -> int:
@@ -132,7 +134,7 @@ def _cmd_inner(args, backend) -> int:
 
 def _cmd_decompose(args, backend) -> int:
     shape = Shape(_parse_dims(args.shape))
-    parts = _parse_partitions(args.parts)
+    parts = _parse_partitions(args.parts, shape)
     d = decompose(build_model(shape), parts)
     blocks = [{
         "alpha": list(s.alpha),
@@ -153,10 +155,9 @@ def _cmd_blocks(args, backend) -> int:
         if not (args.row_shape and args.col_shape and args.row_parts and args.col_parts):
             raise ValueError("need --row-shape/--col-shape/--row-parts/--col-parts "
                              "or --example")
-        lab = block_label_matrix(Shape(_parse_dims(args.row_shape)),
-                                 Shape(_parse_dims(args.col_shape)),
-                                 _parse_partitions(args.row_parts),
-                                 _parse_partitions(args.col_parts))
+        rows, cols = Shape(_parse_dims(args.row_shape)), Shape(_parse_dims(args.col_shape))
+        lab = block_label_matrix(rows, cols, _parse_partitions(args.row_parts, rows),
+                                 _parse_partitions(args.col_parts, cols))
     print(lab.render())
     return 0
 

@@ -8,11 +8,13 @@ factorizes into a product of factor evaluations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .index_space import Shape
 from .matrices import leading_principal_minors
+from .multilinear import _lex_products
 from .scalars import COMPLEX, backend_of, conj
 
 FLOAT_TOL = 1e-12  # relative tolerance for the float backend checks
@@ -71,16 +73,8 @@ def product_form(factors: Sequence[ConjugateBilinearForm], left_shape: Shape,
         if f.left_dim != left_shape.dims[i] or f.right_dim != right_shape.dims[i]:
             raise ValueError(f"factor {i + 1} is {f.left_dim}x{f.right_dim}, "
                              f"expected {left_shape.dims[i]}x{right_shape.dims[i]}")
-    gram = []
-    for alpha in left_shape.indices():
-        row = []
-        for beta in right_shape.indices():
-            w = 1
-            for i, f in enumerate(factors):
-                w = w * f.gram[alpha[i] - 1][beta[i] - 1]
-            row.append(w)
-        gram.append(tuple(row))
-    return ConjugateBilinearForm(left_shape.size, right_shape.size, tuple(gram))
+    gram = [_lex_products(rows) for rows in itertools.product(*(f.gram for f in factors))]
+    return ConjugateBilinearForm(left_shape.size, right_shape.size, gram)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ byte-deterministic, so emitted documents work as goldens.
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 from .index_space import Shape
@@ -42,6 +43,18 @@ def _decode_rows(backend: Backend, obj, key: str) -> list:
     return [decode_vector(backend, r) for r in obj]
 
 
+def _int(obj, key: str) -> int:
+    if type(obj) is not int:
+        raise ValueError(f"'{key}' must be an integer, got {json.dumps(obj)}")
+    return obj
+
+
+def _shape(obj) -> Shape:
+    if not isinstance(obj, list):
+        raise ValueError(f"'shape' must be a JSON array of integers, got {json.dumps(obj)}")
+    return Shape([_int(d, "shape") for d in obj])
+
+
 def matrix_to_json(backend: Backend, m: DenseMatrix) -> dict:
     return {
         "rows": m.nrows,
@@ -73,7 +86,7 @@ def tensor_from_json(backend: Backend, d: dict) -> Tensor:
         dims, coeffs = d["shape"], d["coeffs"]
     except (KeyError, TypeError):
         raise ValueError("tensor JSON needs 'shape' and 'coeffs'") from None
-    model = TensorModel(Shape(dims))
+    model = TensorModel(_shape(dims))
     return Tensor(model, tuple(decode_vector(backend, coeffs)))
 
 
@@ -90,7 +103,7 @@ def map_from_json(backend: Backend, d: dict) -> MultilinearMap:
         dims, target_dim, values = d["shape"], d["targetDim"], d["values"]
     except (KeyError, TypeError):
         raise ValueError("map JSON needs 'shape', 'targetDim' and 'values'") from None
-    return MultilinearMap(Shape(dims), int(target_dim),
+    return MultilinearMap(_shape(dims), _int(target_dim, "targetDim"),
                           tuple(map(tuple, _decode_rows(backend, values, "values"))))
 
 
@@ -108,8 +121,8 @@ def nutable_from_json(backend: Backend, d: dict) -> NuTable:
     except (KeyError, TypeError):
         raise ValueError("table JSON needs 'shape', 'ambientDim' and 'values'") from None
     rows = tuple(map(tuple, _decode_rows(backend, values, "values")))
-    nu = NuTable(Shape(dims), rows)
-    if nu.ambient_dim != int(ambient):
+    nu = NuTable(_shape(dims), rows)
+    if nu.ambient_dim != _int(ambient, "ambientDim"):
         raise ValueError(f"stated ambientDim {ambient} does not match "
                          f"rows of length {nu.ambient_dim}")
     return nu
@@ -128,7 +141,7 @@ def form_from_json(backend: Backend, d: dict) -> ConjugateBilinearForm:
         left, right, gram = d["leftDim"], d["rightDim"], d["gram"]
     except (KeyError, TypeError):
         raise ValueError("form JSON needs 'leftDim', 'rightDim' and 'gram'") from None
-    return ConjugateBilinearForm(int(left), int(right),
+    return ConjugateBilinearForm(_int(left, "leftDim"), _int(right, "rightDim"),
                                  tuple(map(tuple, _decode_rows(backend, gram, "gram"))))
 
 

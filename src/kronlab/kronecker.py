@@ -9,51 +9,28 @@ matrix to vectors one factor at a time without ever materializing it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .index_space import Shape
 from .matrices import DenseMatrix, matrix_backend
-from .multilinear import MultilinearMap
+from .multilinear import MultilinearMap, _contract_axis, _lex_products
 from .tensor import build_model, pure, universal_factor
 
 __all__ = [
-    "KroneckerOperator", "kron", "factorized_matrix_product", "submatrix",
-    "flat_pair_shape",
+    "KroneckerOperator", "kron", "factorized_matrix_product", "flat_pair_shape",
 ]
-
-
-def _kron2(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    p, q = a.nrows, a.ncols
-    r, s = b.nrows, b.ncols
-    data = [0] * (p * r * q * s)
-    width = q * s
-    for i in range(p):
-        for k in range(r):
-            base = (i * r + k) * width
-            brow = b.data[k * s:(k + 1) * s]
-            for j in range(q):
-                aij = a.data[i * q + j]
-                off = base + j * s
-                if aij == 0:
-                    continue
-                for l, v in enumerate(brow):
-                    data[off + l] = aij * v
-    return DenseMatrix(p * r, q * s, data)
 
 
 def kron(factors: Sequence[DenseMatrix]) -> DenseMatrix:
     """Dense Kronecker product of one or more matrices."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    kinds = {matrix_backend(f).name for f in factors}
-    if len(kinds) > 1:
-        raise ValueError(f"factors mix scalar backends: {sorted(kinds)}")
-    out = factors[0]
+    factors = KroneckerOperator(tuple(factors)).factors  # checks: nonempty, one backend
+    rows = factors[0].rows()
     for f in factors[1:]:
-        out = _kron2(out, f)
-    return out
+        frows = f.rows()
+        rows = [_lex_products((r, fr)) for r in rows for fr in frows]
+    return DenseMatrix(len(rows), len(rows[0]), itertools.chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -103,44 +80,15 @@ class KroneckerOperator:
         """
         if len(x) != self.ncols:
             raise ValueError(f"vector length {len(x)} != {self.ncols} columns")
-        qs = [f.ncols for f in self.factors]
-        cur = list(x)
-        left = 1
-        for i, f in enumerate(self.factors):
-            p, q = f.nrows, qs[i]
-            right = 1
-            for d in qs[i + 1:]:
-                right *= d
-            cur = _contract_axis(cur, f, left, q, right, p)
-            left *= p
+        cur, left = x, 1
+        for f in self.factors:
+            q = f.ncols
+            cur = _contract_axis(cur, f.data, left, q, len(cur) // (left * q), f.nrows)
+            left *= f.nrows
         return cur
 
     def materialize(self) -> DenseMatrix:
         return kron(self.factors)
-
-
-def _contract_axis(cur: list, f: DenseMatrix, left: int, mid: int,
-                   right: int, p: int) -> list:
-    out = [0] * (left * p * right)
-    fdata = f.data
-    for l in range(left):
-        base_in = l * mid * right
-        base_out = l * p * right
-        for r in range(p):
-            acc = None
-            frow = fdata[r * mid:(r + 1) * mid]
-            for s in range(mid):
-                a = frow[s]
-                if a == 0:
-                    continue
-                seg = cur[base_in + s * right:base_in + (s + 1) * right]
-                if acc is None:
-                    acc = [a * v for v in seg]
-                else:
-                    acc = [u + a * v for u, v in zip(acc, seg)]
-            if acc is not None:
-                out[base_out + r * right:base_out + (r + 1) * right] = acc
-    return out
 
 
 def factorized_matrix_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -173,13 +121,6 @@ def factorized_matrix_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     h = universal_factor(model, phi)
     coords = pure(model, [a.data, b.data])
     return DenseMatrix(p, s, h.apply(coords.coeffs))
-
-
-def submatrix(a: DenseMatrix, rows: Iterable[int], cols: Iterable[int],
-              mode: str = "retain") -> DenseMatrix:
-    """Submatrix by index sets; ``retain`` keeps them, ``delete`` keeps the
-    complements.  Row and column order of the parent is preserved."""
-    return a.submatrix(rows, cols, mode)
 
 
 def flat_pair_shape(shape_a: tuple, shape_b: tuple) -> tuple:

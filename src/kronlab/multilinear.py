@@ -9,11 +9,18 @@ computed literally; a factored (axis-by-axis) evaluator is provided as an
 optimization and is required by the tests to agree with the direct sum.
 Vectors are plain sequences of scalars relative to an implicit ordered
 basis.
+
+Every Kronecker-shaped computation in the library runs on the two private
+kernels defined here: ``_lex_products`` (one factor entry per axis,
+multiplied in lex order; dense ``kron``, homogeneous tensors, product forms
+and the weights of :func:`evaluate`) and ``_contract_axis`` (one factor
+applied along one axis; the lazy Kronecker matvec and
+:func:`evaluate_factored`).  Both skip zero factor entries; an output
+that only zeros contribute to is a plain int ``0``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -72,41 +79,64 @@ def _check_arguments(f: MultilinearMap, xs: Sequence[Sequence]) -> None:
             raise ValueError(f"argument {i + 1} has length {len(x)}, expected {n}")
 
 
+def _lex_products(vectors: Sequence[Sequence]) -> list:
+    """Products taking one entry per vector, in lex order of the choices.
+
+    Multiplies left to right, ``(c_1 * c_2) * c_3 ...``; a zero prefix
+    product yields a block of int ``0`` without multiplying further.
+    """
+    out = list(vectors[0])
+    for v in vectors[1:]:
+        zeros = [0] * len(v)
+        nxt = []
+        for w in out:
+            nxt += zeros if w == 0 else [w * c for c in v]
+        out = nxt
+    return out
+
+
+def _contract_axis(cur: list, fdata: Sequence, left: int, mid: int,
+                   right: int, p: int) -> list:
+    """Apply a ``p x mid`` factor (flat, row-major) along the middle axis of
+    ``cur`` viewed as a ``left x mid x right`` array; zero entries skipped."""
+    out = [0] * (left * p * right)
+    for l in range(left):
+        base_in = l * mid * right
+        base_out = l * p * right
+        for r in range(p):
+            acc = None
+            frow = fdata[r * mid:(r + 1) * mid]
+            for s in range(mid):
+                a = frow[s]
+                if a == 0:
+                    continue
+                seg = cur[base_in + s * right:base_in + (s + 1) * right]
+                if acc is None:
+                    acc = [a * v for v in seg]
+                else:
+                    acc = [u + a * v for u, v in zip(acc, seg)]
+            if acc is not None:
+                out[base_out + r * right:base_out + (r + 1) * right] = acc
+    return out
+
+
 def evaluate(f: MultilinearMap, xs: Sequence[Sequence]) -> list:
     """Direct expansion over all multi-indices."""
     _check_arguments(f, xs)
     out = [0] * f.target_dim
-    for k, combo in enumerate(itertools.product(*xs)):
-        w = 1
-        for c in combo:
-            w = w * c
-        if w == 0:
-            continue
-        s = f.values[k]
-        for j in range(f.target_dim):
-            out[j] = out[j] + w * s[j]
+    for w, s in zip(_lex_products(xs), f.values):
+        if w != 0:
+            out = [o + w * v for o, v in zip(out, s)]
     return out
 
 
 def evaluate_factored(f: MultilinearMap, xs: Sequence[Sequence]) -> list:
     """Axis-at-a-time contraction; equals :func:`evaluate` exactly."""
     _check_arguments(f, xs)
-    rows = list(f.values)
-    for coeffs in xs:
-        n = len(coeffs)
-        rest = len(rows) // n
-        nxt = []
-        for j in range(rest):
-            acc = [0] * f.target_dim
-            for k in range(n):
-                c = coeffs[k]
-                if c == 0:
-                    continue
-                row = rows[k * rest + j]
-                acc = [a + c * v for a, v in zip(acc, row)]
-            nxt.append(acc)
-        rows = nxt
-    return list(rows[0])
+    cur = [v for row in f.values for v in row]
+    for x in xs:
+        cur = _contract_axis(cur, x, 1, len(x), len(cur) // len(x), 1)
+    return cur
 
 
 def basis_functional(shape: Shape, alpha: Sequence[int]) -> MultilinearMap:
@@ -121,45 +151,8 @@ def basis_functional(shape: Shape, alpha: Sequence[int]) -> MultilinearMap:
     return MultilinearMap(shape, 1, tuple(values))
 
 
-def expand_in_basis(f: MultilinearMap) -> tuple:
-    """Coefficients of ``f`` in the basis of :func:`basis_functional` maps.
-
-    The coefficient at ``alpha`` is the value of ``f`` on basis tuple
-    ``alpha``, so the table reconstructs ``f`` exactly.
-    """
-    return f.values
-
-
-def reconstruct_from_expansion(shape: Shape, target_dim: int, table) -> MultilinearMap:
-    """Inverse of :func:`expand_in_basis`."""
-    return from_values(shape, target_dim, table)
-
-
 def component(f: MultilinearMap, j: int) -> MultilinearMap:
     """The scalar-valued ``j``-th coordinate of ``f`` (1-based)."""
     if not 1 <= j <= f.target_dim:
         raise ValueError(f"component {j} out of range 1..{f.target_dim}")
     return MultilinearMap(f.shape, 1, tuple((v[j - 1],) for v in f.values))
-
-
-def check_product_sum_interchange(rows: Sequence[Sequence]) -> bool:
-    """Verify prod_i (sum_k a_ik) == sum over index tuples of prod_i a_i,g(i).
-
-    Both sides are computed independently.
-    """
-    rows = [list(r) for r in rows]
-    if not rows or any(not r for r in rows):
-        raise ValueError("need at least one entry per row")
-    lhs = 1
-    for r in rows:
-        acc = 0
-        for v in r:
-            acc = acc + v
-        lhs = lhs * acc
-    rhs = 0
-    for combo in itertools.product(*rows):
-        w = 1
-        for v in combo:
-            w = w * v
-        rhs = rhs + w
-    return lhs == rhs

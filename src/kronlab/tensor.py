@@ -8,13 +8,12 @@ so a single backbone representation serves the whole library.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .index_space import Shape, concat
 from .matrices import DenseMatrix, row_dependency
-from .multilinear import MultilinearMap
+from .multilinear import MultilinearMap, _lex_products
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,7 @@ def pure(model: TensorModel, xs: Sequence[Sequence]) -> Tensor:
     for i, (x, n) in enumerate(zip(xs, model.shape.dims)):
         if len(x) != n:
             raise ValueError(f"factor {i + 1} has length {len(x)}, expected {n}")
-    coeffs = []
-    for combo in itertools.product(*xs):
-        w = 1
-        for c in combo:
-            w = w * c
-        coeffs.append(w)
-    return Tensor(model, tuple(coeffs))
+    return Tensor(model, _lex_products(xs))
 
 
 @dataclass(frozen=True)

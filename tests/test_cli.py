@@ -227,6 +227,33 @@ def test_error_reporting(capsys, tmp_path):
         code, _, err = run(capsys, argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
         assert "Fraction(" not in err
+    # non-list or null shapes and null or non-integer stated dimensions
+    tensors = [{"shape": 5, "coeffs": ["1"]}, {"shape": None, "coeffs": ["1"]},
+               {"shape": [2.5], "coeffs": ["1", "1"]}]
+    tables = [{"shape": 5, "ambientDim": 1, "values": [["1"]]},
+              {"shape": [1], "ambientDim": None, "values": [["1"]]},
+              {"shape": [1], "ambientDim": "1", "values": [["1"]]}]
+    forms = [{"leftDim": None, "rightDim": 1, "gram": [["1"]]},
+             {"leftDim": 1, "rightDim": 1.5, "gram": [["1"]]}]
+    good = write(tmp_path / "good.json", {"shape": [1], "coeffs": ["1"]})
+    argvs = [["inner", write(tmp_path / f"t{i}.json", d), good, "--induced"]
+             for i, d in enumerate(tensors)]
+    argvs += [["verify", write(tmp_path / f"n{i}.json", d)] for i, d in enumerate(tables)]
+    argvs += [["inner", write(tmp_path / f"f{i}.json", d), good, good]
+              for i, d in enumerate(forms)]
+    # --parts: per-axis ground sets come from the stated shape
+    argvs += [["decompose", "--shape", "2", "--parts", parts]
+              for parts in ("[5]", "5", "[[[1],[3]]]", "[[]]", "[[[1],[2]],[[1]]]",
+                            "[[[1],[null]]]", "[[1, 2]]")]
+    argvs.append(["blocks", "--row-shape", "2", "--col-shape", "2",
+                  "--row-parts", "[[[1,2]]]", "--col-parts", "[[[1],[3]]]"])
+    for argv in argvs:
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    _, _, err = run(capsys, ["decompose", "--shape", "2", "--parts", "[[[1],[3]]]"])
+    assert "blocks must cover 1..2" in err
+    _, _, err = run(capsys, ["decompose", "--shape", "2", "--parts", "[[]]"])
+    assert "blocks must cover 1..2" in err
 
 
 def test_identical_invocations_produce_identical_bytes(capsys, intro_vectors):

@@ -97,3 +97,13 @@ def test_verdict_encoding():
 def test_vector_decode_rejects_non_arrays():
     with pytest.raises(ValueError):
         jsonio.decode_vector(RATIONAL, {"not": "a list"})
+
+
+@pytest.mark.parametrize("key, bad", [("shape", 5), ("shape", None), ("shape", [2, None]),
+                                      ("shape", [1.5]), ("targetDim", None),
+                                      ("targetDim", "1"), ("targetDim", 1.0)])
+def test_map_decode_rejects_malformed_shape_and_target_dim(key, bad):
+    good = {"shape": [1], "targetDim": 1, "values": [["1"]]}
+    assert jsonio.map_from_json(RATIONAL, good).target_dim == 1
+    with pytest.raises(ValueError):
+        jsonio.map_from_json(RATIONAL, dict(good, **{key: bad}))

@@ -7,7 +7,7 @@ import pytest
 from kronlab.index_space import Shape
 from kronlab.kronecker import (DenseMatrix, KroneckerOperator,
                                factorized_matrix_product, flat_pair_shape,
-                               kron, submatrix)
+                               kron)
 from kronlab.scalars import GaussianRational, RATIONAL
 
 
@@ -203,19 +203,19 @@ def test_factorized_product_dimension_check():
 def test_submatrix_retain_all():
     rng = random.Random(50)
     a = rand_matrix(rng, 3, 3)
-    assert submatrix(a, [1, 2, 3], [1, 2, 3], "retain") == a
+    assert a.submatrix([1, 2, 3], [1, 2, 3], "retain") == a
 
 
 def test_submatrix_delete_nothing():
     rng = random.Random(51)
     a = rand_matrix(rng, 3, 3)
-    assert submatrix(a, [], [], "delete") == a
+    assert a.submatrix([], [], "delete") == a
 
 
 def test_submatrix_golden():
     a = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert submatrix(a, [1, 3], [2], "retain") == DenseMatrix.from_rows([[2], [8]])
-    assert submatrix(a, [2], [3], "delete") == DenseMatrix.from_rows([[1, 2], [7, 8]])
+    assert a.submatrix([1, 3], [2], "retain") == DenseMatrix.from_rows([[2], [8]])
+    assert a.submatrix([2], [3], "delete") == DenseMatrix.from_rows([[1, 2], [7, 8]])
 
 
 def test_submatrix_block_region():
@@ -228,8 +228,8 @@ def test_submatrix_block_region():
     dense = kron([f1, f2, f3, f4])
     # block rows: first four (row multi-indices starting 1...), block
     # columns: those with third column index 1
-    a_region = submatrix(dense, [1, 2, 3, 4], [1, 2, 5, 6], "retain")
-    outside = submatrix(dense, [1, 2, 3, 4], [1, 2, 5, 6], "delete")
+    a_region = dense.submatrix([1, 2, 3, 4], [1, 2, 5, 6], "retain")
+    outside = dense.submatrix([1, 2, 3, 4], [1, 2, 5, 6], "delete")
     assert any(v != 0 for v in a_region.data) or all(v == 0 for v in dense.data)
     assert all(v == 0 for v in outside.data)
 
@@ -237,9 +237,9 @@ def test_submatrix_block_region():
 def test_submatrix_out_of_range():
     a = DenseMatrix.identity(2)
     with pytest.raises(ValueError):
-        submatrix(a, [3], [1], "retain")
+        a.submatrix([3], [1], "retain")
     with pytest.raises(ValueError):
-        submatrix(a, [1], [1], "keep")
+        a.submatrix([1], [1], "keep")
 
 
 def test_operator_shapes():
