@@ -41,7 +41,12 @@ class ConjugateBilinearForm:
 
 
 def eval_form(phi: ConjugateBilinearForm, a: Sequence, b: Sequence):
-    """Value on coefficient vectors: sum of c_a * conj(d_b) * gram(a, b)."""
+    """Value on coefficient vectors: sum of c_a * conj(d_b) * gram(a, b).
+
+    Zero left coefficients and zero Gram entries are skipped, so a sparse
+    table (the induced identity, a product of sparse factors) costs one
+    multiplication per nonzero entry.
+    """
     if len(a) != phi.left_dim:
         raise ValueError(f"left vector has length {len(a)}, expected {phi.left_dim}")
     if len(b) != phi.right_dim:
@@ -53,6 +58,8 @@ def eval_form(phi: ConjugateBilinearForm, a: Sequence, b: Sequence):
             continue
         inner = 0
         for dv, g in zip(db, row):
+            if g == 0:
+                continue
             inner = inner + dv * g
         acc = acc + ca * inner
     return acc

@@ -68,6 +68,7 @@ def matrix_from_json(backend: Backend, d: dict) -> DenseMatrix:
         nrows, ncols, entries = d["rows"], d["cols"], d["entries"]
     except (KeyError, TypeError):
         raise ValueError("matrix JSON needs 'rows', 'cols' and 'entries'") from None
+    nrows, ncols = _int(nrows, "rows"), _int(ncols, "cols")
     rows = _decode_rows(backend, entries, "entries")
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise ValueError(f"entries do not form a {nrows}x{ncols} matrix")

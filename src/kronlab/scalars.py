@@ -147,19 +147,22 @@ def _rand_complex(rng: random.Random) -> complex:
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
 
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``, with a zero denominator reported as bad input."""
+def _fraction(text: str, scalar: str) -> Fraction:
+    """``Fraction(text)``; a failure is bad input and names the whole
+    scalar text it came from."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {text!r}") from None
+        raise ValueError(f"zero denominator in scalar {scalar!r}") from None
+    except ValueError:
+        raise ValueError(f"invalid scalar {scalar!r}") from None
 
 
 def _parse_rational(obj) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        return _fraction(obj.strip())
+        return _fraction(obj.strip(), obj)
     raise ValueError(f"cannot parse rational scalar from {obj!r}")
 
 
@@ -174,21 +177,20 @@ def _parse_gaussian(obj) -> GaussianRational:
         raise ValueError(f"cannot parse gaussian scalar from {obj!r}")
     s = obj.strip().replace(" ", "")
     if not s.endswith("i"):
-        return GaussianRational(_fraction(s))
+        return GaussianRational(_fraction(s, obj))
     body = s[:-1]
-    # split at the sign separating real and imaginary parts; a leading sign
-    # or the sign of a numerator after '/' never qualifies
-    split = -1
+    # the imaginary part starts at the last sign that separates two parts: a
+    # leading sign, an exponent's sign (after 'e') and the sign of a
+    # numerator after '/' never qualify
+    split = 0
     for i in range(len(body) - 1, 0, -1):
-        if body[i] in "+-" and body[i - 1] not in "+-/":
+        if body[i] in "+-" and body[i - 1] not in "+-/eE":
             split = i
             break
-    if split < 0:
-        return GaussianRational(0, _fraction(body))
     re_part, im_part = body[:split], body[split:]
-    if im_part in ("+", "-"):
+    if im_part in ("", "+", "-"):  # a bare unit: "i", "-i", "1+i"
         im_part += "1"
-    return GaussianRational(_fraction(re_part), _fraction(im_part))
+    return GaussianRational(_fraction(re_part, obj) if re_part else 0, _fraction(im_part, obj))
 
 
 def _format_gaussian(x) -> str:

@@ -154,25 +154,71 @@ def verify_tensor_product(nu: NuTable, ambient_dim: Optional[int] = None) -> Ver
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear map stored as its matrix in fixed ordered bases."""
+    """A linear map between coordinate spaces, stored by nonzero columns.
+
+    ``columns[j]`` holds the image of domain basis vector ``j`` as a tuple
+    of ``(row, value)`` pairs: its nonzero coordinates in the codomain
+    basis, 0-based rows in ascending order.  Embeddings and the canonical
+    isomorphism have one entry per column, so applying them costs one
+    multiplication per nonzero coefficient, not one per matrix entry.
+    """
 
     domain_dim: int
     codomain_dim: int
-    matrix: DenseMatrix
+    columns: tuple
 
     def __post_init__(self):
-        if (self.matrix.nrows, self.matrix.ncols) != (self.codomain_dim, self.domain_dim):
-            raise ValueError("matrix shape must be codomain_dim x domain_dim")
+        if len(self.columns) != self.domain_dim:
+            raise ValueError(f"need {self.domain_dim} columns, got {len(self.columns)}")
+        for col in self.columns:
+            prev = -1
+            for i, _ in col:
+                if not prev < i < self.codomain_dim:
+                    raise ValueError("column rows must ascend within 0.."
+                                     f"{self.codomain_dim - 1}")
+                prev = i
+
+    @property
+    def matrix(self) -> DenseMatrix:
+        """The ``codomain_dim x domain_dim`` matrix, built on demand."""
+        n = self.domain_dim
+        data = [0] * (self.codomain_dim * n)
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                data[i * n + j] = v
+        return DenseMatrix(self.codomain_dim, n, data)
 
     def apply(self, coeffs: Sequence) -> list:
-        return self.matrix.matvec(list(coeffs))
+        """Image of a coefficient vector: each nonzero coefficient, in
+        column order, scatters its column into the output.  Every output
+        sums the same nonzero terms in the same order as a dense row loop;
+        one that nothing reaches is int ``0``."""
+        if len(coeffs) != self.domain_dim:
+            raise ValueError(f"vector length {len(coeffs)} != {self.domain_dim} columns")
+        out = [0] * self.codomain_dim
+        for x, col in zip(coeffs, self.columns):
+            if x == 0:
+                continue
+            for i, v in col:
+                out[i] += v * x
+        return out
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """``self`` after ``inner``."""
         if inner.codomain_dim != self.domain_dim:
             raise ValueError("maps do not compose: dimensions differ")
-        return LinearMap(inner.domain_dim, self.codomain_dim,
-                         self.matrix.matmul(inner.matrix))
+        columns = []
+        for col in inner.columns:
+            x = [0] * self.domain_dim
+            for k, w in col:
+                x[k] = w
+            columns.append(_nonzeros(self.apply(x)))
+        return LinearMap(inner.domain_dim, self.codomain_dim, tuple(columns))
+
+
+def _nonzeros(vec: Sequence) -> tuple:
+    """The ``(row, value)`` pairs of a vector's nonzero entries."""
+    return tuple((i, v) for i, v in enumerate(vec) if v != 0)
 
 
 def matrix_of(images: Sequence[Sequence]) -> DenseMatrix:
@@ -200,7 +246,7 @@ def universal_factor(model: TensorModel, phi: MultilinearMap) -> LinearMap:
     """
     if phi.shape != model.shape:
         raise ValueError(f"map shape {phi.shape.dims} != model shape {model.shape.dims}")
-    return LinearMap(model.dim, phi.target_dim, matrix_of(phi.values))
+    return LinearMap(model.dim, phi.target_dim, tuple(_nonzeros(v) for v in phi.values))
 
 
 def canonical_isomorphism(m1: TensorModel, m2: TensorModel) -> LinearMap:
@@ -210,7 +256,7 @@ def canonical_isomorphism(m1: TensorModel, m2: TensorModel) -> LinearMap:
     """
     if m1.shape != m2.shape:
         raise ValueError(f"shapes differ: {m1.shape.dims} vs {m2.shape.dims}")
-    return LinearMap(m1.dim, m2.dim, DenseMatrix.identity(m1.dim))
+    return LinearMap(m1.dim, m2.dim, tuple(((j, 1),) for j in range(m1.dim)))
 
 
 @dataclass(frozen=True)
@@ -243,10 +289,8 @@ def subspace_product(model: TensorModel, subsets: Sequence) -> SubspaceProduct:
     cols = []
     for g_sub in sub_shape.indices():
         g_parent = tuple(selected[i][v - 1] for i, v in enumerate(g_sub))
-        col = [0] * model.dim
-        col[model.shape.offset(g_parent)] = 1
-        cols.append(col)
-    emb = LinearMap(sub_model.dim, model.dim, matrix_of(cols))
+        cols.append(((model.shape.offset(g_parent), 1),))
+    emb = LinearMap(sub_model.dim, model.dim, tuple(cols))
     return SubspaceProduct(sub_model, emb, tuple(selected))
 
 

@@ -221,12 +221,15 @@ def test_error_reporting(capsys, tmp_path):
     m = write(tmp_path / "m.json", {"rows": 1, "cols": 1, "entries": 5})
     t = write(tmp_path / "t.json", {"shape": [2, 2], "ambientDim": 4, "values": 5})
     z = write(tmp_path / "z.json", {"shape": [2], "coeffs": ["1/0", "1"]})
-    for argv in (["kron", m], ["verify", t],
+    r = write(tmp_path / "r.json", {"rows": None, "cols": 1, "entries": [["1"]]})
+    for argv in (["kron", m], ["verify", t], ["kron", r],
                  ["--backend", "rational", "inner", z, z, "--induced"],
                  ["--backend", "gaussian", "inner", z, z, "--induced"]):
         code, _, err = run(capsys, argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
         assert "Fraction(" not in err
+    _, _, err = run(capsys, ["kron", r])
+    assert "'rows' must be an integer, got null" in err
     # non-list or null shapes and null or non-integer stated dimensions
     tensors = [{"shape": 5, "coeffs": ["1"]}, {"shape": None, "coeffs": ["1"]},
                {"shape": [2.5], "coeffs": ["1", "1"]}]

@@ -44,6 +44,15 @@ def test_matrix_shape_validation():
         jsonio.matrix_from_json(RATIONAL, {"rows": 1, "entries": [["1"]]})
 
 
+@pytest.mark.parametrize("key, bad", [("rows", 1.0), ("rows", None), ("rows", "1"),
+                                      ("cols", 1.0), ("cols", None), ("cols", True)])
+def test_matrix_decode_rejects_non_integer_dimensions(key, bad):
+    good = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    assert jsonio.matrix_from_json(RATIONAL, good) == DenseMatrix.from_rows([[1]])
+    with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+        jsonio.matrix_from_json(RATIONAL, dict(good, **{key: bad}))
+
+
 @pytest.mark.parametrize("backend", [RATIONAL, GAUSSIAN, COMPLEX])
 def test_tensor_round_trip(backend):
     rng = random.Random(93)

@@ -1,8 +1,11 @@
 """Properties of the two Kronecker-shaped kernels (lex products and axis
 contraction), exercised through every public caller, on inputs with many
 zeros: identity and permutation factors, zero prefixes, zero rows.  Also
-runs every randomized oracle suite."""
+the column form of linear maps (factored maps, embeddings, the canonical
+isomorphism, composition) and sparse Gram tables, and every randomized
+oracle suite."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,12 +14,13 @@ from hypothesis import strategies as st
 
 from kronlab import oracles
 from kronlab.index_space import Shape
-from kronlab.inner_product import ConjugateBilinearForm, product_form
+from kronlab.inner_product import ConjugateBilinearForm, eval_form, product_form
 from kronlab.kronecker import KroneckerOperator, kron
 from kronlab.matrices import DenseMatrix
 from kronlab.multilinear import MultilinearMap, evaluate, evaluate_factored
-from kronlab.scalars import GAUSSIAN, RATIONAL, GaussianRational
-from kronlab.tensor import build_model, pure
+from kronlab.scalars import GAUSSIAN, RATIONAL, GaussianRational, conj
+from kronlab.tensor import (LinearMap, build_model, canonical_isomorphism, pure,
+                            subspace_product, universal_factor)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 # zero is drawn about half the time, so zero prefixes and blocks are common
@@ -122,6 +126,105 @@ def test_evaluate_and_factored_match_brute_force_sum(f_xs):
         w = product(x[i - 1] for x, i in zip(xs, g))
         want = [s + w * v for s, v in zip(want, f.value_at(g))]
     assert evaluate(f, xs) == evaluate_factored(f, xs) == want
+
+
+def column_invariants(h):
+    """Rows ascend within the codomain and no stored value is zero."""
+    for col in h.columns:
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < h.codomain_dim for i in rows)
+        assert all(v != 0 for _, v in col)
+
+
+@PROPERTY
+@given(maps_with_arguments(), st.data())
+def test_universal_factor_columns_match_the_value_table(f_xs, data):
+    f, xs = f_xs
+    model = build_model(f.shape)
+    h = universal_factor(model, f)
+    column_invariants(h)
+    m = h.matrix
+    assert (m.nrows, m.ncols) == (f.target_dim, model.dim)
+    for j, v in enumerate(f.values):
+        assert m.col(j + 1) == list(v)
+    entry = SCALARS[data.draw(backends)]
+    x = [data.draw(entry) for _ in range(model.dim)]
+    assert h.apply(x) == m.matvec(x)
+    assert h.apply(pure(model, xs).coeffs) == evaluate(f, xs)
+
+
+@st.composite
+def subsets_of_shapes(draw):
+    """A shape with 1-3 axes of length 1-4 and a nonempty subset per axis."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    return dims, [draw(st.sets(st.integers(1, n), min_size=1)) for n in dims]
+
+
+@PROPERTY
+@given(subsets_of_shapes(), backends, st.data())
+def test_subspace_embedding_is_the_lex_selection_matrix(dims_subsets, backend, data):
+    dims, subsets = dims_subsets
+    model = build_model(Shape(tuple(dims)))
+    sp = subspace_product(model, subsets)
+    column_invariants(sp.embedding)
+    picks = list(itertools.product(*(sorted(d) for d in subsets)))
+    want = [0] * (model.dim * len(picks))
+    for j, g in enumerate(picks):
+        off = 0
+        for v, n in zip(g, dims):
+            off = off * n + v - 1
+        want[off * len(picks) + j] = 1
+    assert sp.embedding.matrix == DenseMatrix(model.dim, len(picks), want)
+    x = [data.draw(SCALARS[backend]) for _ in picks]
+    assert sp.embedding.apply(x) == sp.embedding.matrix.matvec(x)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), backends, st.data())
+def test_canonical_isomorphism_is_the_identity(dims, backend, data):
+    shape = Shape(tuple(dims))
+    t = canonical_isomorphism(build_model(shape), build_model(shape))
+    assert t.matrix == DenseMatrix.identity(shape.size)
+    x = [data.draw(SCALARS[backend]) for _ in range(shape.size)]
+    assert t.apply(x) == x
+
+
+def column_map(m):
+    """The column form of a dense matrix, built entry by entry."""
+    return LinearMap(m.ncols, m.nrows, tuple(
+        tuple((i, m.at(i + 1, j + 1)) for i in range(m.nrows) if m.at(i + 1, j + 1) != 0)
+        for j in range(m.ncols)))
+
+
+@PROPERTY
+@given(backends, st.data())
+def test_compose_agrees_with_matmul(backend, data):
+    entry = SCALARS[backend]
+    p, q, r = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = DenseMatrix(p, q, [data.draw(entry) for _ in range(p * q)])
+    b = DenseMatrix(q, r, [data.draw(entry) for _ in range(q * r)])
+    outer, inner = column_map(a), column_map(b)
+    assert outer.matrix == a and inner.matrix == b
+    c = outer.compose(inner)
+    column_invariants(c)
+    assert c.matrix == a.matmul(b)
+    x = [data.draw(entry) for _ in range(r)]
+    assert c.apply(x) == outer.apply(inner.apply(x)) == a.matvec(b.matvec(x))
+
+
+@PROPERTY
+@given(backends, st.data())
+def test_eval_form_on_a_sparse_gram_table_is_the_double_sum(backend, data):
+    entry = SCALARS[backend]
+    p, q = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    gram = [[data.draw(entry) for _ in range(q)] for _ in range(p)]
+    a = [data.draw(entry) for _ in range(p)]
+    b = [data.draw(entry) for _ in range(q)]
+    want = 0
+    for i in range(p):
+        for j in range(q):
+            want = want + a[i] * conj(b[j]) * gram[i][j]
+    assert eval_form(ConjugateBilinearForm(p, q, gram), a, b) == want
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlab.matrices import DenseMatrix, matrix_backend
 from kronlab.scalars import (BACKENDS, COMPLEX, GAUSSIAN, RATIONAL,
@@ -131,6 +133,13 @@ def test_gaussian_text_forms():
     assert GAUSSIAN.parse("-2+1i") == GaussianRational(-2, 1)
     assert GAUSSIAN.parse("7") == GaussianRational(7)
     assert GAUSSIAN.parse("-5/6i") == GaussianRational(0, Fraction(-5, 6))
+    # an exponent's sign never separates the parts; a bare unit is +-1
+    assert GAUSSIAN.parse("1e-5i") == GaussianRational(0, Fraction(1, 10**5))
+    assert GAUSSIAN.parse("2-1e-5i") == GaussianRational(2, Fraction(-1, 10**5))
+    assert GAUSSIAN.parse("1E+2-2E-1i") == GaussianRational(100, Fraction(-1, 5))
+    assert GAUSSIAN.parse("i") == GAUSSIAN.parse("+i") == GaussianRational(0, 1)
+    assert GAUSSIAN.parse("-i") == GaussianRational(0, -1)
+    assert GAUSSIAN.parse("1/2-i") == GaussianRational(Fraction(1, 2), -1)
 
 
 def test_backend_registry():
@@ -144,3 +153,81 @@ def test_gaussian_is_immutable():
     z = GaussianRational(1, 2)
     with pytest.raises(AttributeError):
         z.re = Fraction(5)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+fractions = st.fractions(max_denominator=10**6)
+VALUES = {RATIONAL: fractions,
+          GAUSSIAN: st.builds(GaussianRational, fractions, fractions),
+          COMPLEX: st.complex_numbers(allow_nan=False)}
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GAUSSIAN, COMPLEX])
+@PROPERTY
+@given(data=st.data())
+def test_parse_inverts_format(backend, data):
+    x = data.draw(VALUES[backend])
+    assert backend.parse(backend.format(x)) == x
+
+
+@st.composite
+def rational_texts(draw):
+    """An unsigned rational literal and its value, computed without parsing:
+    an integer, ``p/q``, a decimal or an exponent form."""
+    n = draw(st.integers(0, 999))
+    kind = draw(st.sampled_from(["int", "frac", "dec", "exp"]))
+    if kind == "int":
+        return str(n), Fraction(n)
+    if kind == "frac":
+        q = draw(st.integers(1, 99))
+        return f"{n}/{q}", Fraction(n, q)
+    if kind == "dec":
+        d = draw(st.integers(0, 99))
+        return f"{n}.{d:02d}", n + Fraction(d, 100)
+    e = draw(st.integers(-6, 6))
+    plus = "+" if e >= 0 and draw(st.booleans()) else ""
+    return f"{n}{draw(st.sampled_from('eE'))}{plus}{e}", n * Fraction(10) ** e
+
+
+@st.composite
+def gaussian_texts(draw):
+    """Text ``re+imi`` or ``re-imi`` with its value: the real part may be
+    absent, the imaginary part a bare ``i`` or absent, spaces anywhere
+    between the pieces."""
+    def space():
+        return draw(st.sampled_from(["", " "]))
+
+    re_text, re = draw(rational_texts()) if draw(st.booleans()) else ("", Fraction(0))
+    if re_text and draw(st.booleans()):
+        re_text, re = "-" + re_text, -re
+    kind = draw(st.sampled_from(["number", "unit", "none"]))
+    if kind == "none":
+        if not re_text:
+            re_text, re = draw(rational_texts())
+        return space() + re_text + space(), GaussianRational(re)
+    im_text, im = draw(rational_texts()) if kind == "number" else ("", Fraction(1))
+    sign = draw(st.sampled_from(["+", "-"] if re_text else ["", "+", "-"]))
+    if sign == "-":
+        im = -im
+    text = space() + re_text + space() + sign + space() + im_text + space() + "i" + space()
+    return text, GaussianRational(re, im)
+
+
+@PROPERTY
+@given(gaussian_texts())
+def test_gaussian_parser_reads_generated_texts(text_value):
+    text, value = text_value
+    assert GAUSSIAN.parse(text) == value, text
+
+
+@pytest.mark.parametrize("backend, text, message", [
+    (GAUSSIAN, "1+2ji", "invalid scalar '1+2ji'"),
+    (GAUSSIAN, "1e+i", "invalid scalar '1e+i'"),
+    (GAUSSIAN, "1/0+2i", "zero denominator in scalar '1/0+2i'"),
+    (RATIONAL, "1/0", "zero denominator in scalar '1/0'"),
+    (RATIONAL, "x", "invalid scalar 'x'"),
+])
+def test_parse_errors_name_the_whole_scalar(backend, text, message):
+    with pytest.raises(ValueError) as exc:
+        backend.parse(text)
+    assert str(exc.value) == message

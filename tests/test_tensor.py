@@ -8,7 +8,7 @@ from kronlab.index_space import Shape
 from kronlab.matrices import DenseMatrix, inverse
 from kronlab.multilinear import MultilinearMap, basis_functional, evaluate
 from kronlab.scalars import RATIONAL
-from kronlab.tensor import (NuTable, Tensor, build_model,
+from kronlab.tensor import (LinearMap, NuTable, Tensor, build_model,
                             canonical_isomorphism, dual_eval, matrix_of, pure,
                             regroup, subspace_product, universal_factor,
                             verify_tensor_product, zero_tensor)
@@ -203,6 +203,18 @@ def test_canonical_isomorphism_composes_with_its_inverse():
     t = canonical_isomorphism(m1, m2)
     back = inverse(t.matrix)
     assert t.matrix.matmul(back) == DenseMatrix.identity(6)
+
+
+def test_linear_map_columns_are_validated():
+    h = LinearMap(2, 3, (((0, 5), (2, -1)), ()))
+    assert h.matrix == DenseMatrix.from_rows([[5, 0], [0, 0], [-1, 0]])
+    assert h.apply([2, 7]) == [10, 0, -2]
+    with pytest.raises(ValueError, match="vector length 1 != 2 columns"):
+        h.apply([1])
+    for columns in [((),), (((0, 1),), ((3, 1),)), (((1, 1), (0, 1)), ()),
+                    (((0, 1), (0, 2)), ()), (((-1, 1),), ())]:
+        with pytest.raises(ValueError):
+            LinearMap(2, 3, columns)
 
 
 def test_canonical_isomorphism_shape_mismatch():
