@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .index_space import Shape
 from .matrices import DenseMatrix, matrix_backend
-from .multilinear import MultilinearMap, _contract_axis, _lex_products
+from .multilinear import MultilinearMap, _contract, _lex_products
 from .tensor import build_model, pure, universal_factor
 
 __all__ = [
@@ -80,12 +80,7 @@ class KroneckerOperator:
         """
         if len(x) != self.ncols:
             raise ValueError(f"vector length {len(x)} != {self.ncols} columns")
-        cur, left = x, 1
-        for f in self.factors:
-            q = f.ncols
-            cur = _contract_axis(cur, f.data, left, q, len(cur) // (left * q), f.nrows)
-            left *= f.nrows
-        return cur
+        return _contract(x, [(f.nrows, f.data) for f in self.factors])
 
     def materialize(self) -> DenseMatrix:
         return kron(self.factors)

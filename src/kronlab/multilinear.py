@@ -10,21 +10,31 @@ optimization and is required by the tests to agree with the direct sum.
 Vectors are plain sequences of scalars relative to an implicit ordered
 basis.
 
-Every Kronecker-shaped computation in the library runs on the two private
-kernels defined here: ``_lex_products`` (one factor entry per axis,
-multiplied in lex order; dense ``kron``, homogeneous tensors, product forms
-and the weights of :func:`evaluate`) and ``_contract_axis`` (one factor
-applied along one axis; the lazy Kronecker matvec and
-:func:`evaluate_factored`).  Both skip zero factor entries; an output
-that only zeros contribute to is a plain int ``0``.
+Every Kronecker-shaped computation in the library runs on the private
+kernels defined here.  ``_lex_products`` takes one factor entry per axis,
+multiplied in lex order (dense ``kron``, homogeneous tensors, product forms
+and the weights of :func:`evaluate`).  ``_contract`` applies a list of
+factors, each to the leading axis of a flat array, moving the new axis to
+the end (``_leading``), so that after the last factor the axes are back in
+lex order: the lazy Kronecker matvec, and :func:`evaluate_factored` with
+each argument as a ``1 x n_i`` factor.  On the exact backends ``_contract``
+runs on int numerators over one common denominator and divides once at
+the end; it refuses complex64 values meeting exact ones.  Both kernels
+skip zero factor entries; an output that only zeros contribute to is a
+plain int ``0``, except that the exact contraction returns its outputs in
+the backend's type unless every input is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
+from typing import Mapping, Optional, Sequence
 
 from .index_space import Shape
+from .scalars import COMPLEX, GAUSSIAN, RATIONAL, Backend, GaussianRational, backend_of
 
 
 @dataclass(frozen=True)
@@ -95,29 +105,95 @@ def _lex_products(vectors: Sequence[Sequence]) -> list:
     return out
 
 
-def _contract_axis(cur: list, fdata: Sequence, left: int, mid: int,
-                   right: int, p: int) -> list:
-    """Apply a ``p x mid`` factor (flat, row-major) along the middle axis of
-    ``cur`` viewed as a ``left x mid x right`` array; zero entries skipped."""
-    out = [0] * (left * p * right)
-    for l in range(left):
-        base_in = l * mid * right
-        base_out = l * p * right
-        for r in range(p):
-            acc = None
-            frow = fdata[r * mid:(r + 1) * mid]
-            for s in range(mid):
-                a = frow[s]
-                if a == 0:
-                    continue
-                seg = cur[base_in + s * right:base_in + (s + 1) * right]
-                if acc is None:
-                    acc = [a * v for v in seg]
-                else:
-                    acc = [u + a * v for u, v in zip(acc, seg)]
-            if acc is not None:
-                out[base_out + r * right:base_out + (r + 1) * right] = acc
-    return out
+def _leading(cur: Sequence, p: int, fdata: Sequence) -> list:
+    """Apply a ``p x q`` factor (flat, row-major) to the leading axis of
+    ``cur`` viewed as a ``q x (N/q)`` array, and move the new axis to the end.
+
+    Each output entry adds ``a * v`` over ascending ``s``, starting from the
+    first product; zero factor entries are skipped, and an entry that no
+    product reaches is int ``0``.
+    """
+    q = len(fdata) // p
+    n = len(cur) // q
+    segs = [cur[s * n:(s + 1) * n] for s in range(q)]
+    rows = []
+    for r in range(0, len(fdata), q):
+        acc = None
+        for a, seg in zip(fdata[r:r + q], segs):
+            if a:
+                acc = [a * v for v in seg] if acc is None else [u + a * v for u, v in zip(acc, seg)]
+        rows.append([0] * n if acc is None else acc)
+    return list(chain.from_iterable(zip(*rows)))
+
+
+def _common_backend(value_lists: Sequence[Sequence]) -> Optional[Backend]:
+    """The backend of the non-int values, or None when every value is an int.
+
+    Rationals embed into the Gaussian backend; complex64 meeting an exact
+    value raises, naming both backends.
+    """
+    found = {}
+    for values in value_lists:
+        for t in set(map(type, values)):
+            if not issubclass(t, int):
+                b = backend_of(next(v for v in values if type(v) is t))
+                found[b.name] = b
+    if COMPLEX.name in found and len(found) > 1:
+        raise ValueError(f"contraction mixes scalar backends: {sorted(found)}")
+    return found.get(GAUSSIAN.name) or (found.popitem()[1] if found else None)
+
+
+def _numerators(values: Sequence, backend: Backend) -> tuple:
+    """Exact values as int numerators over one common denominator.
+
+    Returns ``(parts, den)``: ``parts`` holds the real numerators, then the
+    imaginary ones when some imaginary part is nonzero.
+    """
+    if backend is GAUSSIAN:
+        parts = [[v.re if isinstance(v, GaussianRational) else v for v in values],
+                 [v.im if isinstance(v, GaussianRational) else 0 for v in values]]
+        if not any(parts[1]):
+            del parts[1]
+    else:
+        parts = [values]
+    den = lcm(*{v.denominator for part in parts for v in part})
+    return [[v.numerator * (den // v.denominator) for v in part] for part in parts], den
+
+
+def _contract(cur: Sequence, factors: Sequence[tuple]) -> list:
+    """Apply factors ``(p, data)`` (flat, row-major ``p x q``) in turn, each
+    to the leading axis of ``cur``; after the last one the axes are back in
+    lex order.
+
+    Ints and complex64 values go through :func:`_leading` as they are.  Exact
+    values are scaled to int numerators once per factor and once for
+    ``cur``, a Gaussian value being split into real and imaginary parts
+    (one real contraction per pair of parts, so four for a complex factor
+    on complex values and two for a real one), and the outputs are divided
+    by the product of the denominators at the end.
+    """
+    backend = _common_backend([cur] + [data for _, data in factors])
+    if backend is None or not backend.exact:
+        for p, data in factors:
+            cur = _leading(cur, p, data)
+        return cur
+    parts, den = _numerators(cur, backend)
+    for p, data in factors:
+        fparts, fden = _numerators(data, backend)
+        den *= fden
+        # (f_re + i f_im)(c_re + i c_im), an absent imaginary part being zero
+        (fre, *fim), (cre, *cim) = fparts, parts
+        re = _leading(cre, p, fre)
+        for f, c in zip(fim, cim):
+            re = [u - v for u, v in zip(re, _leading(c, p, f))]
+        ims = [_leading(c, p, fre) for c in cim] + [_leading(cre, p, f) for f in fim]
+        if len(ims) == 2:
+            ims = [[u + v for u, v in zip(*ims)]]
+        parts = [re] + ims
+    if backend is RATIONAL:
+        return [Fraction(v, den) for v in parts[0]]
+    im = parts[1] if len(parts) > 1 else repeat(0)
+    return [GaussianRational(Fraction(u, den), Fraction(v, den)) for u, v in zip(parts[0], im)]
 
 
 def evaluate(f: MultilinearMap, xs: Sequence[Sequence]) -> list:
@@ -133,10 +209,7 @@ def evaluate(f: MultilinearMap, xs: Sequence[Sequence]) -> list:
 def evaluate_factored(f: MultilinearMap, xs: Sequence[Sequence]) -> list:
     """Axis-at-a-time contraction; equals :func:`evaluate` exactly."""
     _check_arguments(f, xs)
-    cur = [v for row in f.values for v in row]
-    for x in xs:
-        cur = _contract_axis(cur, x, 1, len(x), len(cur) // len(x), 1)
-    return cur
+    return _contract([v for row in f.values for v in row], [(1, x) for x in xs])
 
 
 def basis_functional(shape: Shape, alpha: Sequence[int]) -> MultilinearMap:

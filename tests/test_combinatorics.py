@@ -3,6 +3,8 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlab.combinatorics import (FiniteFunction, SetPartition, bell, coimage,
                                    count_functions, covering_edges,
@@ -242,3 +244,42 @@ def test_position_rank_errors():
 def test_two_line_rendering():
     f = FiniteFunction(4, 5, (1, 3, 1, 4))
     assert f.two_line() == "(1 2 3 4 / 1 3 1 4)"
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_partition_counts_are_bell_and_stirling_numbers(n, data):
+    assert len(enumerate_partitions(n)) == bell(n)
+    k = data.draw(st.integers(1, n))
+    assert len(enumerate_partitions(n, k)) == stirling2(n, k)
+
+
+def fibers(labels):
+    """The partition of ``{1..len(labels)}`` into positions of equal label."""
+    return coimage(FiniteFunction(len(labels), max(labels), labels))
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_refines_is_a_partial_order(n, data):
+    """x, then two successive coarsenings y and z of it, and an unrelated w."""
+    label = lambda m: st.lists(st.integers(1, m), min_size=n, max_size=n)
+    lx, merge_y, merge_z = data.draw(label(n)), data.draw(label(n)), data.draw(label(n))
+    ly = [merge_y[v - 1] for v in lx]
+    x, y, z, w = fibers(lx), fibers(ly), fibers([merge_z[v - 1] for v in ly]), fibers(data.draw(label(n)))
+    assert refines(x, y) and refines(y, z) and refines(x, z)
+    for a, b in itertools.product((x, y, z, w), repeat=2):
+        assert refines(a, a)
+        assert (refines(a, b) and refines(b, a)) == (a == b)
+        for c in (x, y, z, w):
+            assert not (refines(a, b) and refines(b, c)) or refines(a, c)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_coimage_has_one_block_per_image_point(domain, codomain, data):
+    values = data.draw(st.lists(st.integers(1, codomain), min_size=domain, max_size=domain))
+    assert coimage(FiniteFunction(domain, codomain, values)).block_count == len(set(values))

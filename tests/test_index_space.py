@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlab.index_space import (BlockPartition, OrderedSetPartition, Shape,
                                  block_of, concat, discrete_partition,
@@ -188,3 +190,31 @@ def test_block_size_law():
 def test_block_partition_shape_consistency():
     with pytest.raises(ValueError):
         BlockPartition(Shape((2, 2)), (unit_partition(2), unit_partition(3)))
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(Shape)
+
+
+@st.composite
+def shape_and_index(draw, shape=None):
+    shape = shape or draw(shapes)
+    return shape, tuple(draw(st.integers(1, d)) for d in shape.dims)
+
+
+@PROPERTY
+@given(shape_and_index(), st.data())
+def test_rank_and_unrank_are_inverse(shape_g, data):
+    shape, g = shape_g
+    assert shape.unrank(shape.rank(g)) == g
+    k = data.draw(st.integers(1, shape.size))
+    assert shape.rank(shape.unrank(k)) == k
+
+
+@PROPERTY
+@given(shapes, st.data())
+def test_rank_order_is_lex_order(shape, data):
+    g = data.draw(shape_and_index(shape))[1]
+    h = data.draw(shape_and_index(shape))[1]
+    rg, rh = shape.rank(g), shape.rank(h)
+    assert lex_compare(g, h) == (rg > rh) - (rg < rh)

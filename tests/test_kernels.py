@@ -1,11 +1,15 @@
-"""Properties of the two Kronecker-shaped kernels (lex products and axis
-contraction), exercised through every public caller, on inputs with many
-zeros: identity and permutation factors, zero prefixes, zero rows.  Also
-the column form of linear maps (factored maps, embeddings, the canonical
+"""Properties of the two Kronecker-shaped kernels (lex products and the
+leading-axis contraction), exercised through every public caller, on inputs
+with many zeros: identity, permutation and all-zero factors, zero prefixes,
+zero rows, plain ints mixed in, and exact backends mixed the way they
+embed.  The contraction keeps int-only results ints, matches the entry sum
+on complex64 and refuses complex64 values meeting exact ones.  Also the
+column form of linear maps (factored maps, embeddings, the canonical
 isomorphism, composition) and sparse Gram tables, and every randomized
 oracle suite."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,22 +42,29 @@ def product(values):
     return w
 
 
+def with_ints(backend):
+    """Values of ``backend`` with plain ints mixed in; about half are zero."""
+    return st.one_of(SCALARS[backend], st.sampled_from([0, 0, 1, -2]))
+
+
 @st.composite
 def factors(draw):
-    """One backend and 1-3 matrices: dense, identity or permutation."""
+    """One backend and 1-3 matrices: dense (plain ints mixed in), all zero,
+    identity or permutation."""
     backend = draw(backends)
-    entry = SCALARS[backend]
+    entry = with_ints(backend)
     out = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["dense", "identity", "permutation"]))
-        if kind == "dense":
+        kind = draw(st.sampled_from(["dense", "zero", "identity", "permutation"]))
+        if kind in ("dense", "zero"):
             p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-            out.append(DenseMatrix(p, q, [draw(entry) for _ in range(p * q)]))
-            continue
-        n = draw(st.integers(1, 3))
-        perm = draw(st.permutations(range(n))) if kind == "permutation" else range(n)
-        out.append(DenseMatrix(n, n, [backend.one if j == perm[i] else backend.zero
-                                      for i in range(n) for j in range(n)]))
+            data = [draw(entry) if kind == "dense" else 0 for _ in range(p * q)]
+        else:
+            p = q = draw(st.integers(1, 3))
+            perm = draw(st.permutations(range(p))) if kind == "permutation" else range(p)
+            data = [1 if j == perm[i] else 0 for i in range(p) for j in range(p)]
+        data[0] = backend.zero + data[0]  # an int-only factor would count as rational
+        out.append(DenseMatrix(p, q, data))
     return out
 
 
@@ -78,9 +89,10 @@ def gram_tables(draw):
 
 @st.composite
 def maps_with_arguments(draw):
-    """A multilinear map with 1-3 axes and target dimension 1-3, and its arguments."""
-    entry = SCALARS[draw(backends)]
-    xs = draw_vectors(draw, entry)
+    """A multilinear map with 1-3 axes and target dimension 1-3 (plain ints
+    mixed in), and its arguments over either exact backend."""
+    entry = with_ints(draw(backends))
+    xs = draw_vectors(draw, with_ints(draw(backends)))
     shape, t = Shape(tuple(len(x) for x in xs)), draw(st.integers(1, 3))
     return MultilinearMap(shape, t, [[draw(entry) for _ in range(t)] for _ in range(shape.size)]), xs
 
@@ -126,6 +138,77 @@ def test_evaluate_and_factored_match_brute_force_sum(f_xs):
         w = product(x[i - 1] for x, i in zip(xs, g))
         want = [s + w * v for s, v in zip(want, f.value_at(g))]
     assert evaluate(f, xs) == evaluate_factored(f, xs) == want
+
+
+@PROPERTY
+@given(factors(), backends, st.data())
+def test_matvec_equals_the_dense_matvec(fs, vector_backend, data):
+    """The vector's backend is drawn apart from the factors', so rational
+    factors meet Gaussian vectors and the other way round."""
+    op = KroneckerOperator(tuple(fs))
+    x = [data.draw(with_ints(vector_backend)) for _ in range(op.ncols)]
+    assert op.matvec(x) == op.materialize().matvec(x)
+
+
+small_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3), st.data())
+def test_int_inputs_give_int_outputs(sizes, data):
+    op = KroneckerOperator(tuple(DenseMatrix(p, q, [data.draw(small_ints) for _ in range(p * q)])
+                                 for p, q in sizes))
+    x = [data.draw(small_ints) for _ in range(op.ncols)]
+    y = op.matvec(x)
+    assert all(type(v) is int for v in y) and y == op.materialize().matvec(x)
+    f = MultilinearMap(op.col_shape, 2, [[data.draw(small_ints) for _ in range(2)]
+                                         for _ in range(op.ncols)])
+    xs = [[data.draw(small_ints) for _ in range(n)] for n in op.col_shape.dims]
+    z = evaluate_factored(f, xs)
+    assert all(type(v) is int for v in z) and z == evaluate(f, xs)
+
+
+complex_entries = st.one_of(st.just(0j), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3), st.data())
+def test_complex_matvec_is_the_entry_sum(sizes, data):
+    fs = [DenseMatrix(p, q, [data.draw(complex_entries) for _ in range(p * q)]) for p, q in sizes]
+    op = KroneckerOperator(tuple(fs))
+    x = [data.draw(complex_entries) for _ in range(op.ncols)]
+    y = op.matvec(x)
+    assert len(y) == op.nrows
+    for got, mu in zip(y, op.row_shape.indices()):
+        terms = [product(f.at(i, j) for f, i, j in zip(fs, mu, kappa)) * v
+                 for kappa, v in zip(op.col_shape.indices(), x)]
+        assert abs(got - sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
+
+
+F, G = Fraction, GaussianRational
+MIXED = [
+    ([[F(1, 2), F(1)], [F(0), F(3)]], [0.5j, 1], ["complex64", "rational"]),
+    ([[G(1, 1), 0], [0, G(0, 2)]], [1.5, 2], ["complex64", "gaussian"]),
+    ([[1j, 0], [0, 2.0]], [F(1, 3), 1], ["complex64", "rational"]),
+    ([[1j, 0], [0, 2.0]], [G(0, 1), 1], ["complex64", "gaussian"]),
+]
+
+
+@pytest.mark.parametrize("rows, x, names", MIXED, ids=["rational-complex", "gaussian-float",
+                                                     "complex-rational", "complex-gaussian"])
+def test_contraction_refuses_mixed_backends(rows, x, names):
+    m = DenseMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match=re.escape(str(names))):
+        KroneckerOperator((m,)).matvec(x)
+    with pytest.raises(ValueError, match=re.escape(str(names))):
+        evaluate_factored(MultilinearMap(Shape((2,)), 2, rows), [x])
+
+
+def test_ints_stay_neutral_in_the_contraction():
+    assert KroneckerOperator((DenseMatrix.from_rows([[1j, 0], [0, 2.0]]),)).matvec([1, 2]) == [1j, 4.0]
+    assert KroneckerOperator((DenseMatrix.from_rows([[1, 2]]),)).matvec([0.5, 1j]) == [0.5 + 2j]
+    gauss = KroneckerOperator((DenseMatrix.from_rows([[F(1, 2), 1]]),)).matvec([G(1, 1), 2])
+    assert gauss == [G(F(5, 2), F(1, 2))] and isinstance(gauss[0], GaussianRational)
 
 
 def column_invariants(h):
