@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .index_space import Shape
-from .matrices import DenseMatrix, matrix_backend
+from .matrices import DenseMatrix
 from .multilinear import MultilinearMap, _contract, _lex_products
+from .scalars import common_backend
 from .tensor import build_model, pure, universal_factor
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
 
 def kron(factors: Sequence[DenseMatrix]) -> DenseMatrix:
     """Dense Kronecker product of one or more matrices."""
-    factors = KroneckerOperator(tuple(factors)).factors  # checks: nonempty, one backend
+    factors = KroneckerOperator(tuple(factors)).factors  # checks: nonempty, backends agree
     rows = factors[0].rows()
     for f in factors[1:]:
         frows = f.rows()
@@ -43,9 +44,7 @@ class KroneckerOperator:
         factors = tuple(self.factors)
         if not factors:
             raise ValueError("need at least one factor")
-        kinds = {matrix_backend(f).name for f in factors}
-        if len(kinds) > 1:
-            raise ValueError(f"factors mix scalar backends: {sorted(kinds)}")
+        common_backend([f.data for f in factors])  # raises on complex64 meeting exact values
         object.__setattr__(self, "factors", factors)
 
     @property

@@ -7,16 +7,21 @@ Rank, dependency witnesses, inverses and leading principal minors all come
 from one forward-elimination kernel, ``_echelon``.  Its pivot rule: the
 pivot of a column is its first nonzero entry at or below the current row
 (exact arithmetic needs no search for the largest entry, and the dependency
-witnesses that callers report depend on this rule).  The kernel divides, so its inputs are first normalized into the
-surrounding backend (int/int would silently produce floats).
+witnesses that callers report depend on this rule).  The backend is decided
+by :func:`~kronlab.scalars.common_backend`, so complex64 meeting an exact
+value raises.  On the exact backends each row is scaled to int numerators
+and eliminated fraction-free (Bareiss), over Z or over Z[i]; values become
+``Fraction`` or ``GaussianRational`` again only in the results.  complex64
+rows are eliminated in floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational, backend_of
+from .scalars import RATIONAL, common_backend, from_numerators, numerators
 
 
 class DenseMatrix:
@@ -165,123 +170,190 @@ class DenseMatrix:
 
 
 def matrix_backend(m: DenseMatrix):
-    """Backend shared by all entries; raises on a mix.
-
-    Plain ints are backend-neutral; every other scalar type must agree.
-    """
-    kinds = {b.name: b for b in (backend_of(v) for v in m.data if not isinstance(v, int))}
-    if len(kinds) > 1:
-        raise ValueError(f"mixed scalar backends in matrix: {sorted(kinds)}")
-    return kinds.popitem()[1] if kinds else RATIONAL
+    """Backend the entries share, by :func:`~kronlab.scalars.common_backend`:
+    plain ints are backend-neutral (int-only counts as rational), rationals
+    embed into Gaussian, and complex64 meeting an exact value raises."""
+    return common_backend([m.data]) or RATIONAL
 
 
-def _division_safe(rows: Sequence[Sequence]) -> list:
-    """Copy rows, widening plain ints so that later divisions stay exact."""
-    kinds = {backend_of(v).name for r in rows for v in r}
-    if COMPLEX.name in kinds:
-        cast = complex
-    elif GAUSSIAN.name in kinds:
-        cast = lambda v: v if isinstance(v, GaussianRational) else GaussianRational(v)
-    else:
-        cast = lambda v: v if isinstance(v, Fraction) else Fraction(v)
-    return [[cast(v) for v in r] for r in rows]
+def _prepare(rows: Sequence[Sequence], aug: int = 0) -> tuple:
+    """``(work, scales, backend)``: each row, followed by ``aug`` columns of
+    the identity, as a list of parts.  On complex64 that is one part, cast
+    to ``complex``.  On the exact backends (int-only counts as rational) the
+    row times the lcm of its denominators, its scale, gives int numerators:
+    one part, or real and imaginary parts when some entry is not real."""
+    backend = common_backend(rows) or RATIONAL
+    rows = [[*r, *(int(i == j) for j in range(aug))] for i, r in enumerate(rows)]
+    if not backend.exact:
+        return [[[complex(v) for v in r]] for r in rows], None, backend
+    scaled = [numerators(r, backend) for r in rows]
+    width = max((len(parts) for parts, _ in scaled), default=1)
+    work = [parts + [[0] * len(r)] * (width - len(parts)) for (parts, _), r in zip(scaled, rows)]
+    return work, [den for _, den in scaled], backend
 
 
-def _identity_rows(n: int) -> list:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _mul(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of two scalars given as parts, ``[re]`` or ``[re, im]``."""
+    return [a[0] * b[0]] if len(a) == 1 else [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
 
 
-def _echelon(work: list, aug: Optional[list] = None):
-    """Forward elimination of ``work`` in place, one pivot at a time.
+def _divisor(q: Sequence[int]) -> tuple:
+    """``(c, d)`` with ``x / q == x * c // d`` for every multiple ``x`` of
+    ``q``: ``([1], q)`` over Z, ``(conj(q), |q|^2)`` over Z[i]."""
+    return ([1], q[0]) if len(q) == 1 else ([q[0], -q[1]], q[0] * q[0] + q[1] * q[1])
 
-    The pivot of each column is its first nonzero entry at or below the
-    current row; it is swapped up to that row, then every nonzero entry
-    below it is cleared by subtracting a multiple of the pivot row.  Each
-    swap and row update is mirrored on ``aug`` when given.  Yields
+
+def _combine(terms: Sequence[tuple], d: int = 1) -> list:
+    """``sum(s * v for s, v in terms) // d`` over Z or Z[i], for scalars
+    ``s`` and rows ``v`` given as parts; ``d`` divides every entry exactly."""
+    out = [None] * len(terms[0][1])
+    for s, v in terms:
+        if len(out) == 1:
+            real = [(0, s[0], v[0])]
+        else:  # (s_re + i s_im)(v_re + i v_im)
+            real = [(0, s[0], v[0]), (0, -s[1], v[1]), (1, s[0], v[1]), (1, s[1], v[0])]
+        for k, c, x in real:
+            if c:
+                t = map(mul, repeat(c), x)
+                out[k] = t if out[k] is None else map(add, out[k], t)
+    n = len(terms[0][1][0])
+    return [[0] * n if o is None else list(map(floordiv, o, repeat(d))) for o in out]
+
+
+def _echelon(work: list, ncols: int, exact: bool):
+    """Forward elimination of the first ``ncols`` columns of ``work`` in
+    place; later columns (an augmented block) get the same row operations.
+
+    The pivot of each column is swapped up to the current row.  Yields
     ``(source_row, pivot_col)`` after the swap and before the clearing, so a
-    caller that stops iterating stops the sweep.  ``work`` needs entries
-    that divide exactly (see :func:`_division_safe`).
+    caller that stops iterating stops the sweep.  complex64 rows: each row
+    with a nonzero entry below the pivot loses a multiple of the pivot row
+    ``b``.  Int rows (Bareiss): every row ``a`` below, whatever its entry
+    ``f`` in the pivot column, becomes ``(p * a - f * b) / prev``, with ``p``
+    the pivot and ``prev`` the previous one (first 1).  The division is
+    exact, and the ``k``-th pivot is a ``k x k`` minor of the input rows.
     """
     n = len(work)
     pr = 0
-    for pc in range(len(work[0]) if work else 0):
+    prev = [1, 0][:len(work[0])] if work else [1]
+    for pc in range(ncols):
         if pr == n:
             return
         for piv in range(pr, n):
-            if work[piv][pc] != 0:
+            if any(part[pc] for part in work[piv]):
                 break
         else:
             continue
         work[pr], work[piv] = work[piv], work[pr]
-        if aug is not None:
-            aug[pr], aug[piv] = aug[piv], aug[pr]
         yield piv, pc
         top = work[pr]
-        for r in range(pr + 1, n):
-            if work[r][pc] != 0:
-                f = work[r][pc] / top[pc]
-                work[r] = [a - f * b for a, b in zip(work[r], top)]
-                if aug is not None:
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
+        if exact:
+            c, d = _divisor(prev)
+            prev = [part[pc] for part in top]
+            p = _mul(prev, c)
+            for r in range(pr + 1, n):
+                f = _mul([-part[pc] for part in work[r]], c)
+                work[r] = _combine([(p, work[r]), (f, top)], d)
+        else:
+            (t,) = top
+            for r in range(pr + 1, n):
+                (row,) = work[r]
+                if row[pc] != 0:
+                    f = row[pc] / t[pc]
+                    work[r] = [[a - f * b for a, b in zip(row, t)]]
         pr += 1
+
+
+def _divide(parts: Sequence[Sequence[int]], q: Sequence[int], backend) -> list:
+    """Exact values of the scalars given by ``parts``, each divided by ``q``."""
+    c, d = _divisor(q)
+    return from_numerators(_combine([(c, parts)]), d, backend)
 
 
 def row_dependency(rows: Sequence[Sequence]) -> Optional[list]:
     """Coefficients of a nontrivial vanishing combination of ``rows``.
 
-    Returns ``None`` when the rows are linearly independent.  Exact for the
-    exact backends: the multipliers are tracked in an augmented identity
-    block, and the first row left without a pivot gives the combination.
+    Returns ``None`` when the rows are linearly independent.  The
+    multipliers are tracked in an augmented identity block; the first row
+    left without a pivot gives the combination, with coefficient 1 on that
+    row (which makes it unique).
     """
-    work = _division_safe(rows)
-    mult = _identity_rows(len(work))
-    rank = sum(1 for _ in _echelon(work, mult))
-    return mult[rank] if rank < len(work) else None
+    n, m = len(rows), len(rows[0]) if rows else 0
+    work, _, backend = _prepare(rows, n)
+    order = list(range(n))
+    rank = 0
+    for piv, _ in _echelon(work, m, backend.exact):
+        order[rank], order[piv] = order[piv], order[rank]
+        rank += 1
+    if rank == n:
+        return None
+    aug = [part[m:] for part in work[rank]]
+    if not backend.exact:
+        return aug[0]
+    # the block carries the row scales, so it multiplies the input rows
+    return _divide(aug, [part[order[rank]] for part in aug], backend)
 
 
 def rank_of(rows: Sequence[Sequence]) -> int:
     """Exact rank by elimination."""
-    return sum(1 for _ in _echelon(_division_safe(rows)))
+    work, _, backend = _prepare(rows)
+    return sum(1 for _ in _echelon(work, len(rows[0]) if rows else 0, backend.exact))
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:
     """Exact inverse: forward elimination on ``[m | I]``, then back
-    substitution on the identity block; raises if singular."""
+    substitution on the identity block; raises if singular.  On the exact
+    backends the back substitution is fraction-free: with ``D`` the last
+    pivot, ``D`` times the inverse is integral (the block carries the row
+    scales), and each entry is divided by ``D`` once."""
     if m.nrows != m.ncols:
         raise ValueError("only square matrices can be inverted")
     n = m.nrows
-    work = _division_safe(m.rows())
-    inv = _identity_rows(n)
-    if sum(1 for _ in _echelon(work, inv)) < n:
+    work, _, backend = _prepare(m.rows(), n)
+    if sum(1 for _ in _echelon(work, n, backend.exact)) < n:
         raise ValueError("matrix is singular")
+    if not backend.exact:
+        inv = [row[0][n:] for row in work]
+        for i in reversed(range(n)):
+            (u,) = work[i]
+            row = inv[i]
+            for j in range(i + 1, n):
+                if u[j] != 0:
+                    row = [a - u[j] * b for a, b in zip(row, inv[j])]
+            inv[i] = [v / u[i] for v in row]
+        return DenseMatrix.from_rows(inv)
+    last = [part[n - 1] for part in work[n - 1]]
+    x = [None] * n
     for i in reversed(range(n)):
-        row = inv[i]
-        for j in range(i + 1, n):
-            f = work[i][j]
-            if f != 0:
-                row = [a - f * b for a, b in zip(row, inv[j])]
-        d = work[i][i]
-        inv[i] = [v / d for v in row]
-    return DenseMatrix.from_rows(inv)
+        c, d = _divisor([part[i] for part in work[i]])
+        terms = [(_mul(last, c), [part[n:] for part in work[i]])]
+        terms += [(_mul([-part[j] for part in work[i]], c), x[j]) for j in range(i + 1, n)]
+        x[i] = _combine(terms, d)
+    return DenseMatrix.from_rows([_divide(xi, last, backend) for xi in x])
 
 
 def leading_principal_minors(rows: Sequence[Sequence]) -> list:
     """Determinants of the top-left ``k x k`` blocks, ``k = 1..n``.
 
-    Each minor is the product of the first ``k`` pivots as long as every
-    pivot sits on the diagonal.  The sweep stops at the first one that does
-    not (a zero diagonal entry); that minor and all later ones are reported
-    as exact zero, which is all the positive definiteness check needs.
+    Each minor is the ``k``-th pivot over the first ``k`` row scales (on
+    complex64 the product of the first ``k`` pivots) as long as every pivot
+    sits on the diagonal.  The sweep stops at the first one that does not
+    (a zero diagonal entry); that minor and all later ones are reported as
+    exact zero, which is all the positive definiteness check needs.
     """
-    work = _division_safe(rows)
-    n = len(work)
-    if any(len(r) != n for r in work):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("leading minors need a square matrix")
+    work, scales, backend = _prepare(rows)
     minors = []
-    det = 1
-    for k, pivot in enumerate(_echelon(work)):
+    det = den = 1
+    for k, pivot in enumerate(_echelon(work, n, backend.exact)):
         if pivot != (k, k):
             break
-        det = det * work[k][k]
+        if backend.exact:
+            den *= scales[k]
+            det = from_numerators([[part[k]] for part in work[k]], den, backend)[0]
+        else:
+            det = det * work[k][0][k]
         minors.append(det)
     return minors + [det * 0] * (n - len(minors))

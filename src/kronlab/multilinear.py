@@ -28,13 +28,11 @@ the backend's type unless every input is an int.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, repeat
-from math import lcm
-from typing import Mapping, Optional, Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 from .index_space import Shape
-from .scalars import COMPLEX, GAUSSIAN, RATIONAL, Backend, GaussianRational, backend_of
+from .scalars import common_backend, from_numerators, numerators
 
 
 @dataclass(frozen=True)
@@ -126,40 +124,6 @@ def _leading(cur: Sequence, p: int, fdata: Sequence) -> list:
     return list(chain.from_iterable(zip(*rows)))
 
 
-def _common_backend(value_lists: Sequence[Sequence]) -> Optional[Backend]:
-    """The backend of the non-int values, or None when every value is an int.
-
-    Rationals embed into the Gaussian backend; complex64 meeting an exact
-    value raises, naming both backends.
-    """
-    found = {}
-    for values in value_lists:
-        for t in set(map(type, values)):
-            if not issubclass(t, int):
-                b = backend_of(next(v for v in values if type(v) is t))
-                found[b.name] = b
-    if COMPLEX.name in found and len(found) > 1:
-        raise ValueError(f"contraction mixes scalar backends: {sorted(found)}")
-    return found.get(GAUSSIAN.name) or (found.popitem()[1] if found else None)
-
-
-def _numerators(values: Sequence, backend: Backend) -> tuple:
-    """Exact values as int numerators over one common denominator.
-
-    Returns ``(parts, den)``: ``parts`` holds the real numerators, then the
-    imaginary ones when some imaginary part is nonzero.
-    """
-    if backend is GAUSSIAN:
-        parts = [[v.re if isinstance(v, GaussianRational) else v for v in values],
-                 [v.im if isinstance(v, GaussianRational) else 0 for v in values]]
-        if not any(parts[1]):
-            del parts[1]
-    else:
-        parts = [values]
-    den = lcm(*{v.denominator for part in parts for v in part})
-    return [[v.numerator * (den // v.denominator) for v in part] for part in parts], den
-
-
 def _contract(cur: Sequence, factors: Sequence[tuple]) -> list:
     """Apply factors ``(p, data)`` (flat, row-major ``p x q``) in turn, each
     to the leading axis of ``cur``; after the last one the axes are back in
@@ -172,14 +136,14 @@ def _contract(cur: Sequence, factors: Sequence[tuple]) -> list:
     on complex values and two for a real one), and the outputs are divided
     by the product of the denominators at the end.
     """
-    backend = _common_backend([cur] + [data for _, data in factors])
+    backend = common_backend([cur] + [data for _, data in factors])
     if backend is None or not backend.exact:
         for p, data in factors:
             cur = _leading(cur, p, data)
         return cur
-    parts, den = _numerators(cur, backend)
+    parts, den = numerators(cur, backend)
     for p, data in factors:
-        fparts, fden = _numerators(data, backend)
+        fparts, fden = numerators(data, backend)
         den *= fden
         # (f_re + i f_im)(c_re + i c_im), an absent imaginary part being zero
         (fre, *fim), (cre, *cim) = fparts, parts
@@ -190,10 +154,7 @@ def _contract(cur: Sequence, factors: Sequence[tuple]) -> list:
         if len(ims) == 2:
             ims = [[u + v for u, v in zip(*ims)]]
         parts = [re] + ims
-    if backend is RATIONAL:
-        return [Fraction(v, den) for v in parts[0]]
-    im = parts[1] if len(parts) > 1 else repeat(0)
-    return [GaussianRational(Fraction(u, den), Fraction(v, den)) for u, v in zip(parts[0], im)]
+    return from_numerators(parts, den, backend)
 
 
 def evaluate(f: MultilinearMap, xs: Sequence[Sequence]) -> list:

@@ -12,6 +12,11 @@ makes the identity checks elsewhere in the library decidable.  There is no
 implicit promotion between backends: mixing, say, a Gaussian rational with a
 float complex raises instead of silently losing exactness.  Plain ``int``
 values are accepted anywhere as backend-neutral integers.
+
+Kernels that run on integers share one bridge: :func:`common_backend`
+decides which backend a computation runs in (the one rule for mixed
+inputs), :func:`numerators` turns exact values into int numerators over a
+common denominator, and :func:`from_numerators` turns them back.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Union
+from itertools import repeat
+from math import lcm
+from typing import Any, Callable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -251,6 +258,49 @@ def backend_of(x) -> Backend:
     if isinstance(x, (float, complex)):
         return COMPLEX
     raise TypeError(f"not a supported scalar: {x!r}")
+
+
+def common_backend(value_lists: Sequence[Sequence]) -> Optional[Backend]:
+    """The backend of the non-int values, or None when every value is an int.
+
+    Rationals embed into the Gaussian backend; complex64 meeting an exact
+    value raises, naming both backends.
+    """
+    found = {}
+    for values in value_lists:
+        for t in set(map(type, values)):
+            if not issubclass(t, int):
+                b = backend_of(next(v for v in values if type(v) is t))
+                found[b.name] = b
+    if COMPLEX.name in found and len(found) > 1:
+        raise ValueError(f"mixed scalar backends: {sorted(found)}")
+    return found.get(GAUSSIAN.name) or (found.popitem()[1] if found else None)
+
+
+def numerators(values: Sequence, backend: Backend) -> tuple:
+    """Exact values as int numerators over one common denominator.
+
+    Returns ``(parts, den)``: ``parts`` holds the real numerators, then the
+    imaginary ones when some imaginary part is nonzero.
+    """
+    if backend is GAUSSIAN:
+        parts = [[v.re if isinstance(v, GaussianRational) else v for v in values],
+                 [v.im if isinstance(v, GaussianRational) else 0 for v in values]]
+        if not any(parts[1]):
+            del parts[1]
+    else:
+        parts = [values]
+    den = lcm(*{v.denominator for part in parts for v in part})
+    return [[v.numerator * (den // v.denominator) for v in part] for part in parts], den
+
+
+def from_numerators(parts: Sequence[Sequence[int]], den: int, backend: Backend) -> list:
+    """The values ``parts / den`` in an exact backend; inverse of
+    :func:`numerators` (an absent imaginary part is zero)."""
+    if backend is RATIONAL:
+        return [Fraction(v, den) for v in parts[0]]
+    im = parts[1] if len(parts) > 1 else repeat(0)
+    return [GaussianRational(Fraction(u, den), Fraction(v, den)) for u, v in zip(parts[0], im)]
 
 
 def conj(a):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,13 +55,23 @@ def test_identity_factors():
 
 
 def test_kron_backend_mismatch():
-    a = DenseMatrix.from_rows([[Fraction(1)]])
-    b = DenseMatrix.from_rows([[GaussianRational(1)]])
-    with pytest.raises(ValueError):
+    a = DenseMatrix.from_rows([[Fraction(1, 2)]])
+    b = DenseMatrix.from_rows([[complex(1)]])
+    with pytest.raises(ValueError, match=re.escape("['complex64', 'rational']")):
         kron([a, b])
-    c = DenseMatrix.from_rows([[Fraction(1), GaussianRational(1)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("['complex64', 'rational']")):
+        KroneckerOperator((a, b))
+    c = DenseMatrix.from_rows([[complex(1), GaussianRational(1)]])
+    with pytest.raises(ValueError, match=re.escape("['complex64', 'gaussian']")):
         kron([c])
+
+
+def test_ints_and_rationals_embed_into_gaussian_factors():
+    g = DenseMatrix(1, 1, [GaussianRational(1, 1)])
+    for other in (DenseMatrix(1, 1, [2]), DenseMatrix(1, 1, [Fraction(1, 2)])):
+        op = KroneckerOperator((other, g))
+        assert kron([other, g]).data == [other.data[0] * GaussianRational(1, 1)]
+        assert op.matvec([3]) == [other.data[0] * GaussianRational(3, 3)]
 
 
 def test_entry_formula_exhaustive_small():

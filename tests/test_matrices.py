@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -201,3 +202,138 @@ def test_row_dependency_witness(rows):
     else:
         assert w is not None and any(c != 0 for c in w)
         assert all(sum(c * r[j] for c, r in zip(w, rows)) == 0 for j in range(len(rows[0])))
+
+
+# -- every backend against a plain Gauss elimination ------------------------------
+
+REFERENCE = settings(max_examples=30, deadline=None, derandomize=True)
+# large numerators over small, large and mixed denominators; about half zero
+big = st.builds(Fraction, st.integers(-10**12, 10**12),
+                st.sampled_from([1, 2, 3, 7, 12, 10**6 + 3, 2**61 - 1]) | st.integers(1, 10**9))
+# floats with full mantissas, kept away from overflow and subnormals
+floats = st.builds(lambda p, q: p / q, st.integers(-1000, 1000), st.integers(1, 997))
+ENTRIES = {
+    "rational": st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-3, 3), big),
+    "gaussian": st.one_of(st.just(GaussianRational(0)), st.just(0), big,
+                          st.builds(GaussianRational, big, big | st.just(0))),
+    "real-gaussian": st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, big)),
+    "complex64": st.one_of(st.just(0j), st.just(0), st.integers(-3, 3), floats,
+                           st.builds(complex, floats, floats)),
+}
+CAST = {"rational": Fraction, "complex64": complex,
+        "gaussian": lambda v: v if isinstance(v, GaussianRational) else GaussianRational(v)}
+CAST["real-gaussian"] = CAST["gaussian"]
+
+
+@st.composite
+def matrices(draw, kind, square=False):
+    """Up to 7 x 9 (square: 7 x 7), zero-heavy, often with a row that is a
+    combination of two others."""
+    n = draw(st.integers(1, 7))
+    m = n if square else draw(st.integers(1, 9))
+    rows = [[draw(ENTRIES[kind]) for _ in range(m)] for _ in range(n)]
+    if kind != "rational":  # not all ints or Fractions, which would make it rational
+        rows[0][0] = CAST[kind](rows[0][0])
+    if n > 2 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        c = draw(ENTRIES[kind])
+        rows[k] = [c * a + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def gauss(rows, cast):
+    """Elimination with division, on ``[rows | I]``: each column's pivot is its
+    first nonzero entry at or below the current row, and every row with a
+    nonzero entry below it loses a multiple of the pivot row."""
+    n = len(rows)
+    work = [[cast(v) for v in r] + [cast(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    pivots = []
+    for pc in range(len(rows[0])):
+        pr = len(pivots)
+        piv = next((r for r in range(pr, n) if work[r][pc] != 0), None)
+        if piv is None:
+            continue
+        work[pr], work[piv] = work[piv], work[pr]
+        pivots.append((piv, pc))
+        for r in range(pr + 1, n):
+            if work[r][pc] != 0:
+                f = work[r][pc] / work[pr][pc]
+                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
+    return work, pivots
+
+
+def reference_inverse(work, n):
+    inv = [row[n:] for row in work]
+    for i in reversed(range(n)):
+        row = inv[i]
+        for j in range(i + 1, n):
+            if work[i][j] != 0:
+                row = [a - work[i][j] * b for a, b in zip(row, inv[j])]
+        inv[i] = [v / work[i][i] for v in row]
+    return inv
+
+
+def reference_minors(work, pivots, n):
+    minors, det = [], 1
+    for k, pivot in enumerate(pivots):
+        if pivot != (k, k):
+            break
+        det = det * work[k][k]
+        minors.append(det)
+    return minors + [det * 0] * (n - len(minors))
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@REFERENCE
+@given(data=st.data())
+def test_elimination_matches_plain_gauss(kind, data):
+    """Exact backends: the same rank, witness, inverse and minors as Gauss
+    elimination on Fractions; complex64: the same floats."""
+    cast = CAST[kind]
+    value_type = type(cast(1))
+    rows = data.draw(matrices(kind))
+    work, pivots = gauss(rows, cast)
+    n, m, rank = len(rows), len(rows[0]), len(pivots)
+    assert rank_of(rows) == rank
+    w = row_dependency(rows)
+    if rank == n:
+        assert w is None
+    else:
+        assert w == work[rank][m:] and all(type(c) is value_type for c in w)
+    sq = data.draw(matrices(kind, square=True))
+    n = len(sq)
+    work, pivots = gauss(sq, cast)
+    if len(pivots) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(DenseMatrix.from_rows(sq))
+    else:
+        inv = inverse(DenseMatrix.from_rows(sq))
+        assert inv.rows() == reference_inverse(work, n)
+        assert all(type(v) is value_type for v in inv.data)
+    assert leading_principal_minors(sq) == reference_minors(work, pivots, n)
+
+
+MIXED_ROWS = [
+    ([[Fraction(1, 2), 0.5j], [Fraction(1, 2), 0.5j]], ["complex64", "rational"]),
+    ([[GaussianRational(1, 1), 0], [0, 2.0]], ["complex64", "gaussian"]),
+]
+
+
+@pytest.mark.parametrize("fn", [rank_of, row_dependency, leading_principal_minors,
+                                lambda rows: inverse(DenseMatrix.from_rows(rows))],
+                         ids=["rank_of", "row_dependency", "leading_principal_minors", "inverse"])
+@pytest.mark.parametrize("rows, names", MIXED_ROWS, ids=["rational-complex", "gaussian-float"])
+def test_elimination_refuses_mixed_backends(fn, rows, names):
+    with pytest.raises(ValueError, match=re.escape(str(names))):
+        fn(rows)
+
+
+def test_ints_stay_neutral_and_rationals_embed_into_gaussian():
+    assert rank_of([[1, 0.5j], [2, 1j]]) == 1
+    assert row_dependency([[2, 1j], [4, 2j]]) == [-2, 1]
+    w = row_dependency([[Fraction(1, 2), GaussianRational(0, 1)], [1, GaussianRational(0, 2)]])
+    assert w == [-2, 1] and all(isinstance(c, GaussianRational) for c in w)
+    assert inverse(DenseMatrix.from_rows([[2, 0], [0, GaussianRational(0, 1)]])).data == \
+        [Fraction(1, 2), 0, 0, GaussianRational(0, -1)]
+    assert leading_principal_minors([[Fraction(1, 3), 1], [1, GaussianRational(5)]]) == \
+        [Fraction(1, 3), Fraction(2, 3)]
